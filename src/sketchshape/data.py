@@ -335,7 +335,8 @@ def save_embeddings(path, records, matrix: np.ndarray) -> None:
 
 
 def load_embeddings(path):
-    """Returns (ids, labels, splits, modalities, matrix)."""
+    """Returns (ids, labels, splits, modalities, matrix); every value must
+    be finite."""
     rows, dim = read_feature_csv(path)
     if not rows:
         raise ValueError(f"{path}: no embedding rows")
@@ -344,4 +345,7 @@ def load_embeddings(path):
     splits = [r[2] for r in rows]
     modalities = [r[3] for r in rows]
     matrix = np.stack([r[4] for r in rows])
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: embedding {ids[int(np.argmin(finite))]} has non-finite values")
     return ids, labels, splits, modalities, matrix

@@ -97,6 +97,19 @@ class TestUsageErrors:
         assert main(["eval", "--queries", str(tmp_path / "no.csv"), "--gallery", str(tmp_path / "no.csv"), "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_embedding_exits_2(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        bad = tmp_path / "bad.csv"
+        header = "id,label,split,modality,v0,v1\n"
+        good.write_text(header + "g0,0,test,shape,1.0,0.0\ng1,1,test,shape,0.0,1.0\n")
+        bad.write_text(header + "q0,0,test,sketch,1.0,0.5\nq1,1,test,sketch,nan,1.0\n")
+        out = tmp_path / "eval"
+        assert main(["eval", "--queries", str(bad), "--gallery", str(good), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(bad) in err and "q1" in err
+        assert not (out / "metrics.txt").exists()
+
     def test_bad_noise_mode_exits_1(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path), "--noise-mode", "junk"]) == 1
 

@@ -159,6 +159,17 @@ class TestEmbeddingFiles:
         assert set(modalities) == {"sketch"}
         np.testing.assert_array_equal(loaded, matrix)
 
+    def test_non_finite_row_rejected_by_id(self, tmp_path):
+        ds = small_dataset(seed=13)
+        records = ds.sketches("test")
+        matrix = Rng(14).uniform_matrix(len(records), 3, -1.0, 1.0)
+        matrix[2, 1] = np.inf
+        matrix[5, 0] = np.nan
+        path = tmp_path / "emb.csv"
+        save_embeddings(path, records, matrix)
+        with pytest.raises(ValueError, match=f"emb.csv: embedding {records[2].sample_id} has non-finite"):
+            load_embeddings(path)
+
     def test_row_count_mismatch_rejected(self, tmp_path):
         ds = small_dataset(seed=12)
         with pytest.raises(ValueError, match="records"):

@@ -8,6 +8,7 @@ import pytest
 
 from reference import evaluate_bruteforce, rank_bruteforce, six_metrics_bruteforce
 from sketchshape.metrics import (
+    BLOCK_QUERIES,
     RankedList,
     average_precision,
     dcg,
@@ -32,6 +33,49 @@ def _dyadic(a, bits=40):
     return np.round(np.asarray(a) * 2.0**bits) / 2.0**bits
 
 
+def _edge_instances():
+    """(queries, gallery, qlabels, glabels) for the cases that blocked
+    ranking has to get right.
+
+    * Exact cosine ties: integer-valued embeddings whose ties are exact in
+      the oracle's arithmetic and the library's alike, namely duplicated
+      rows and all-zero rows.  Entries are positive and no two distinct
+      rows are parallel, since the two compute the cosine of parallel or
+      orthogonal rows with different rounding.
+    * More queries than one block holds, one left over after two full
+      blocks, against a small gallery.
+    * Galleries smaller than the E-measure cutoff, down to a single item.
+    """
+    rng = Rng(9)
+    pool = []
+    while len(pool) < 5:
+        row = [1 + rng.integer(4) for _ in range(3)]
+        if math.gcd(*row) == 1 and row not in pool:
+            pool.append(row)
+    gallery = [pool[rng.integer(len(pool))] for _ in range(30)]
+    for at in (0, 11, 30):
+        gallery.insert(at, [0, 0, 0])
+    queries = [pool[0], pool[3], [0, 0, 0]] + [[1 + rng.integer(4) for _ in range(3)] for _ in range(9)]
+    instances = [
+        (
+            np.array(queries, dtype=np.float64),
+            np.array(gallery, dtype=np.float64),
+            [rng.integer(3) for _ in queries],
+            [rng.integer(3) for _ in gallery],
+        )
+    ]
+    for q, g in ((2 * BLOCK_QUERIES + 1, 7), (5, 31), (5, 1)):
+        instances.append(
+            (
+                rng.uniform_matrix(q, 3, -1.0, 1.0),
+                rng.uniform_matrix(g, 3, -1.0, 1.0),
+                [rng.integer(2) for _ in range(q)],
+                [i % 2 for i in range(g)],
+            )
+        )
+    return instances
+
+
 class TestRank:
     def test_query_itself_ranks_first(self):
         rng = Rng(0)
@@ -51,11 +95,13 @@ class TestRank:
         gallery = rng.uniform_matrix(8, 8, -2.0, 2.0)
         qlabels = [rng.integer(3) for _ in range(5)]
         glabels = [rng.integer(3) for _ in range(8)]
-        got = rank(queries, gallery, qlabels, glabels)
-        want = rank_bruteforce(queries.tolist(), gallery.tolist(), qlabels, glabels)
-        for r, (order, rel) in zip(got, want):
-            assert r.gallery_ids == order
-            assert r.relevance.tolist() == rel
+        for queries, gallery, qlabels, glabels in [(queries, gallery, qlabels, glabels)] + _edge_instances():
+            got = rank(queries, gallery, qlabels, glabels)
+            want = rank_bruteforce(queries.tolist(), gallery.tolist(), qlabels, glabels)
+            assert len(got) == len(want)
+            for r, (order, rel) in zip(got, want):
+                assert r.gallery_ids == order
+                assert r.relevance.tolist() == rel
 
     def test_empty_gallery_rejected(self):
         with pytest.raises(ValueError, match="gallery"):
@@ -149,6 +195,7 @@ class TestEvaluate:
 
     def test_matches_bruteforce_bitwise_small_instances(self):
         rng = Rng(3)
+        instances = []
         for _ in range(30):
             q = 1 + rng.integer(6)
             g = 2 + rng.integer(30)
@@ -158,6 +205,8 @@ class TestEvaluate:
             gallery = rng.uniform_matrix(g, dim, -2.0, 2.0)
             qlabels = [rng.integer(classes) for _ in range(q)]
             glabels = [rng.integer(classes) for _ in range(g)]
+            instances.append((queries, gallery, qlabels, glabels))
+        for queries, gallery, qlabels, glabels in instances + _edge_instances():
             if not set(qlabels) & set(glabels):
                 continue
             try:
@@ -232,6 +281,11 @@ class TestEvaluate:
         assert report.num_queries == 1
         assert report.num_excluded == 1
         assert report.excluded_ids == ["b"]
+
+    def test_non_finite_embeddings_rejected(self):
+        for queries, gallery in ((np.array([[np.nan, 1.0]]), np.eye(2)), (np.eye(2), np.array([[1.0, np.inf]]))):
+            with pytest.raises(ValueError, match="non-finite"):
+                evaluate(queries, gallery, [0] * len(queries), [0] * len(gallery))
 
     def test_pr_curve_levels_and_perfect_case(self):
         queries = np.eye(3)

@@ -120,6 +120,19 @@ class TestDetectionAuc:
     def test_ties_count_half(self):
         assert detection_auc([1.0, 1.0], [True, False]) == 0.5
 
+    def test_matches_pairwise_count_with_ties(self):
+        rng = Rng(15)
+        for _ in range(50):
+            n = 2 + rng.integer(40)
+            scores = [float(rng.integer(4)) for _ in range(n)]
+            flags = [rng.integer(3) == 0 for _ in range(n)]
+            if all(flags) or not any(flags):
+                continue
+            pos = [s for s, f in zip(scores, flags) if f]
+            neg = [s for s, f in zip(scores, flags) if not f]
+            wins = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
+            assert detection_auc(scores, flags) == wins / (len(pos) * len(neg))
+
     def test_needs_both_groups(self):
         with pytest.raises(ValueError, match="both"):
             detection_auc([1.0, 2.0], [True, True])
