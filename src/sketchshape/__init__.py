@@ -24,10 +24,9 @@ from .model import (
     SketchModel,
     encode_shape,
     encode_sketch,
-    init_params,
     reparameterize,
 )
-from .ops import cosine_matrix, grad_check, l2_normalize_rows, matmul
+from .ops import cosine_matrix, grad_check, l2_normalize_rows
 from .rng import Rng
 from .train import TrainConfig, TrainReport, cosine_lr, sgd_step, train_stage1, train_stage2
 from .uncertainty import UncertaintyRecord, detection_auc, harmonic_mean, normalize_and_bucket
@@ -59,11 +58,9 @@ __all__ = [
     "evaluate",
     "grad_check",
     "harmonic_mean",
-    "init_params",
     "kl_gaussian",
     "l2_normalize_rows",
     "margin_cosine_loss",
-    "matmul",
     "normalize_and_bucket",
     "rank",
     "reparameterize",

@@ -18,10 +18,9 @@ from . import gradcheck as gradcheck_mod
 from . import metrics as metrics_mod
 from . import uncertainty as uncert_mod
 from .model import (
-    checkpoint_kind,
     encode_shape_batch,
     encode_sketch_batch,
-    load_shape_checkpoint,
+    load_checkpoint,
     load_sketch_checkpoint,
     save_shape_checkpoint,
     save_sketch_checkpoint,
@@ -119,32 +118,15 @@ def cmd_train_shape(args) -> int:
     return 0
 
 
-def _embed_records(checkpoint, records):
-    kind = checkpoint_kind(checkpoint)
-    if kind == "sketch":
-        model, _ = load_sketch_checkpoint(checkpoint)
-        x = np.stack([r.features for r in records])
-        mu, _, _ = encode_sketch_batch(model, x)
-        return mu
-    if kind == "shape":
-        model = load_shape_checkpoint(checkpoint)
-        x = np.stack([r.features for r in records])
-        emb, _ = encode_shape_batch(model, x)
-        return emb
-    raise ValueError(f"{checkpoint}: unknown checkpoint kind {kind!r}")
-
-
 def cmd_embed(args) -> int:
     print(f"[embed] checkpoint = {args.checkpoint}, data = {args.data}, split = {args.split}")
-    kind = checkpoint_kind(args.checkpoint)
-    modality = {"sketch": "sketch", "shape": "shape"}.get(kind)
-    if modality is None:
-        raise ValueError(f"{args.checkpoint}: unknown checkpoint kind {kind!r}")
+    kind, model, _ = load_checkpoint(args.checkpoint)
     ds = data_mod.load_dataset(args.data)
-    records = ds.subset(modality, args.split)
+    records = ds.subset(kind, args.split)
     if not records:
-        raise ValueError(f"no {modality} records in split {args.split!r}")
-    emb = _embed_records(args.checkpoint, records)
+        raise ValueError(f"no {kind} records in split {args.split!r}")
+    encode = encode_sketch_batch if kind == "sketch" else encode_shape_batch
+    emb = encode(model, np.stack([r.features for r in records]))[0]
     data_mod.save_embeddings(args.out, records, emb)
     print(f"[embed] wrote {emb.shape[0]} x {emb.shape[1]} embeddings to {args.out}")
     return 0

@@ -175,7 +175,8 @@ def write_feature_csv(path, rows, dim: int) -> None:
 
 def read_feature_csv(path):
     """Returns (rows, dim) with rows of (id, label, split, modality,
-    vector); raises with the offending line number on malformed input."""
+    vector); raises with the offending line number on malformed input or a
+    non-finite value."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
         cols = header.split(",")
@@ -195,10 +196,14 @@ def read_feature_csv(path):
                 raise ValueError(f"{path} line {lineno}: expected {4 + dim} fields, got {len(parts)}")
             try:
                 label = int(parts[1])
-                vec = np.array([float(v) for v in parts[4:]])
+                values = [float(v) for v in parts[4:]]
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
-            rows.append((parts[0], label, parts[2], parts[3], vec))
+            # The row's float sum is finite unless a value is not or the sum
+            # overflows; only then is each value checked.
+            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+                raise ValueError(f"{path} line {lineno}: row {parts[0]} has non-finite values")
+            rows.append((parts[0], label, parts[2], parts[3], np.array(values)))
     return rows, dim
 
 
@@ -246,8 +251,7 @@ def _as_dir(path):
 
 
 def load_manifest(path) -> Manifest:
-    values = {}
-    counts = {}
+    entries = {}
     with open(path, "r", encoding="ascii") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != MANIFEST_MAGIC:
@@ -259,18 +263,25 @@ def load_manifest(path) -> Manifest:
             if "=" not in stripped:
                 raise ValueError(f"{path} line {lineno}: expected key = value")
             key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key.startswith("count_"):
-                counts[key[len("count_") :]] = int(raw)
-            else:
-                values[key] = raw
+            entries[key] = (lineno, raw)
+
+    def value(key, kind=str):
+        if key not in entries:
+            raise ValueError(f"{path}: missing key {key!r}")
+        lineno, raw = entries[key]
+        try:
+            return kind(raw)
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {key}: {exc}") from None
+
     return Manifest(
-        classes=int(values["classes"]),
-        feature_dim=int(values["feature_dim"]),
-        views=int(values["views"]),
-        counts=counts,
-        noise_frac=float(values["noise_frac"]),
-        noise_mode=values["noise_mode"],
-        seed=int(values["seed"]),
+        classes=value("classes", int),
+        feature_dim=value("feature_dim", int),
+        views=value("views", int),
+        counts={key[len("count_") :]: value(key, int) for key in entries if key.startswith("count_")},
+        noise_frac=value("noise_frac", float),
+        noise_mode=value("noise_mode"),
+        seed=value("seed", int),
     )
 
 
@@ -335,8 +346,8 @@ def save_embeddings(path, records, matrix: np.ndarray) -> None:
 
 
 def load_embeddings(path):
-    """Returns (ids, labels, splits, modalities, matrix); every value must
-    be finite."""
+    """Returns (ids, labels, splits, modalities, matrix); every value is
+    finite (read_feature_csv rejects the others)."""
     rows, dim = read_feature_csv(path)
     if not rows:
         raise ValueError(f"{path}: no embedding rows")
@@ -344,8 +355,4 @@ def load_embeddings(path):
     labels = np.array([r[1] for r in rows], dtype=np.int64)
     splits = [r[2] for r in rows]
     modalities = [r[3] for r in rows]
-    matrix = np.stack([r[4] for r in rows])
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{path}: embedding {ids[int(np.argmin(finite))]} has non-finite values")
-    return ids, labels, splits, modalities, matrix
+    return ids, labels, splits, modalities, np.stack([r[4] for r in rows])

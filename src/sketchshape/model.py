@@ -161,6 +161,22 @@ def unit_scale_backward(cache, dmu_hat: np.ndarray, dlogvar: np.ndarray):
     return np.where(full, (dmu_hat - radial * mu_hat) / scale, dmu_hat), dlogvar
 
 
+def _prepare_sketches(x) -> np.ndarray:
+    """Encoder input rows: features L2-normalised (see encode_sketch_batch)."""
+    return l2_normalize_rows(np.asarray(x, dtype=np.float64))
+
+
+def _sketch_forward(model: SketchModel, xn: np.ndarray):
+    """encode_sketch_batch on rows already through _prepare_sketches."""
+    h, bcache = mlp_forward(model.backbone, xn)
+    raw_mu, mcache = mlp_forward(model.mu_head, h)
+    raw_logvar, vcache = mlp_forward(model.logvar_head, h)
+    mu, logvar, ucache = unit_scale_forward(raw_mu, raw_logvar)
+    require_finite(mu, "sketch mu")
+    require_finite(logvar, "sketch logvar")
+    return mu, logvar, (bcache, mcache, vcache, ucache)
+
+
 def encode_sketch_batch(model: SketchModel, x: np.ndarray):
     """Returns (mu, logvar, cache) for an NxD_in feature batch: the unit
     scale Gaussian (see unit_scale_forward) of the two heads' output.
@@ -169,14 +185,7 @@ def encode_sketch_batch(model: SketchModel, x: np.ndarray):
     retrieval are cosine-based, so feature magnitude carries no class signal
     and letting it through only couples the learned variance to input scale.
     """
-    xn = l2_normalize_rows(np.asarray(x, dtype=np.float64))
-    h, bcache = mlp_forward(model.backbone, xn)
-    raw_mu, mcache = mlp_forward(model.mu_head, h)
-    raw_logvar, vcache = mlp_forward(model.logvar_head, h)
-    mu, logvar, ucache = unit_scale_forward(raw_mu, raw_logvar)
-    require_finite(mu, "sketch mu")
-    require_finite(logvar, "sketch logvar")
-    return mu, logvar, (bcache, mcache, vcache, ucache)
+    return _sketch_forward(model, _prepare_sketches(x))
 
 
 def sketch_backward(model: SketchModel, cache, dmu: np.ndarray, dlogvar: np.ndarray):
@@ -200,9 +209,28 @@ def encode_sketch(model: SketchModel, x: np.ndarray) -> GaussianEmbedding:
 
 
 def _canonical_view_order(views: np.ndarray) -> np.ndarray:
-    # Lexicographic row order; bit-identical pooling for any permutation of
-    # the same view set.
-    return np.lexsort(views.T[::-1])
+    """N x V view order of an N x V x D block: each shape's views in
+    lexicographic row order, so pooling is bit-identical for any permutation
+    of the same view set.  One stable lexsort sorts every shape at once."""
+    return np.lexsort(np.moveaxis(views, -1, 0)[::-1], axis=-1)
+
+
+def _prepare_views(views: np.ndarray) -> np.ndarray:
+    """Encoder input block: each shape's views in canonical order, each view
+    L2-normalised like a sketch feature."""
+    n, v, d = views.shape
+    ordered = np.take_along_axis(views, _canonical_view_order(views)[:, :, None], axis=1)
+    return l2_normalize_rows(ordered.reshape(n * v, d)).reshape(n, v, d)
+
+
+def _shape_forward(model: ShapeModel, prepared: np.ndarray):
+    """encode_shape_batch on a block already through _prepare_views."""
+    n, v, d = prepared.shape
+    h, bcache = mlp_forward(model.backbone, prepared.reshape(n * v, d))
+    pooled = h.reshape(n, v, -1).mean(axis=1)
+    f, pcache = mlp_forward(model.proj, pooled)
+    require_finite(f, "shape embedding")
+    return f, (bcache, pcache, n, v)
 
 
 def encode_shape_batch(model: ShapeModel, views: np.ndarray):
@@ -213,19 +241,9 @@ def encode_shape_batch(model: ShapeModel, views: np.ndarray):
     """
     if views.ndim != 3:
         raise ValueError(f"expected N x V x D_in views, got shape {views.shape}")
-    n, v, d = views.shape
-    if v < 1:
+    if views.shape[1] < 1:
         raise ValueError("each shape needs at least one view")
-    ordered = np.empty_like(views)
-    for i in range(n):
-        ordered[i] = views[i][_canonical_view_order(views[i])]
-    # views get the same per-row L2 normalisation as sketch features
-    flat = l2_normalize_rows(ordered.reshape(n * v, d))
-    h, bcache = mlp_forward(model.backbone, flat)
-    pooled = h.reshape(n, v, -1).mean(axis=1)
-    f, pcache = mlp_forward(model.proj, pooled)
-    require_finite(f, "shape embedding")
-    return f, (bcache, pcache, n, v)
+    return _shape_forward(model, _prepare_views(views))
 
 
 def shape_backward(model: ShapeModel, cache, df: np.ndarray):
@@ -287,111 +305,134 @@ def init_classifier(cfg, rng: Rng) -> Classifier:
     return Classifier(glorot_matrix(rng, cfg.classes, cfg.embed_dim), frozen=False)
 
 
-def init_params(cfg, rng: Rng):
-    """All trainable state in one call: (sketch model, classifier, shape
-    model), drawn in that order."""
-    sketch = init_sketch_model(cfg, rng)
-    classifier = init_classifier(cfg, rng)
-    shape = init_shape_model(cfg, rng)
-    return sketch, classifier, shape
-
-
-def _write_matrix(fh, name: str, a: np.ndarray) -> None:
-    a2 = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    fh.write(f"matrix {name} {a2.shape[0]} {a2.shape[1]}\n")
-    for row in a2:
-        fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
 def _mlp_matrices(prefix: str, mlp: Mlp):
     for i, (w, b) in enumerate(mlp.layers):
         yield f"{prefix}.{i}.weight", w
         yield f"{prefix}.{i}.bias", b
 
 
-def save_sketch_checkpoint(path, model: SketchModel, classifier: Classifier) -> None:
+def _write_checkpoint(path, kind: str, meta: dict, named_matrices) -> None:
+    """Magic line, ``kind <kind>``, one ``<key> <value>`` line per meta entry,
+    then per matrix a ``matrix <name> <rows> <cols>`` header and its rows."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(CHECKPOINT_MAGIC + "\n")
-        fh.write("kind sketch\n")
-        fh.write(f"classifier_frozen {'true' if classifier.frozen else 'false'}\n")
-        for name, a in _mlp_matrices("backbone", model.backbone):
-            _write_matrix(fh, name, a)
-        for name, a in _mlp_matrices("mu_head", model.mu_head):
-            _write_matrix(fh, name, a)
-        for name, a in _mlp_matrices("logvar_head", model.logvar_head):
-            _write_matrix(fh, name, a)
-        _write_matrix(fh, "classifier.weight", classifier.weights)
+        fh.write(f"{CHECKPOINT_MAGIC}\nkind {kind}\n")
+        for key, value in meta.items():
+            fh.write(f"{key} {value}\n")
+        for name, a in named_matrices:
+            a2 = np.atleast_2d(np.asarray(a, dtype=np.float64))
+            fh.write(f"matrix {name} {a2.shape[0]} {a2.shape[1]}\n")
+            for row in a2:
+                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+
+def save_sketch_checkpoint(path, model: SketchModel, classifier: Classifier) -> None:
+    _write_checkpoint(
+        path,
+        "sketch",
+        {"classifier_frozen": "true" if classifier.frozen else "false"},
+        [
+            *_mlp_matrices("backbone", model.backbone),
+            *_mlp_matrices("mu_head", model.mu_head),
+            *_mlp_matrices("logvar_head", model.logvar_head),
+            ("classifier.weight", classifier.weights),
+        ],
+    )
 
 
 def save_shape_checkpoint(path, model: ShapeModel) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(CHECKPOINT_MAGIC + "\n")
-        fh.write("kind shape\n")
-        for name, a in _mlp_matrices("backbone", model.backbone):
-            _write_matrix(fh, name, a)
-        for name, a in _mlp_matrices("proj", model.proj):
-            _write_matrix(fh, name, a)
+    _write_checkpoint(
+        path, "shape", {}, [*_mlp_matrices("backbone", model.backbone), *_mlp_matrices("proj", model.proj)]
+    )
 
 
 def _read_checkpoint(path):
+    """Parse a checkpoint once; returns (kind, meta, matrices).  A malformed
+    matrix header or row, or a non-finite value, raises ValueError naming
+    the file and the line."""
     meta = {}
     matrices = {}
     with open(path, "r", encoding="ascii") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        line = fh.readline()
-        while line:
-            parts = line.rstrip("\n").split()
+        lines = enumerate(fh, start=2)
+        for lineno, line in lines:
+            parts = line.split()
             if not parts:
-                line = fh.readline()
                 continue
-            if parts[0] == "matrix":
-                name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-                data = np.empty((rows, cols))
-                for r in range(rows):
-                    vals = fh.readline().split()
-                    if len(vals) != cols:
-                        raise ValueError(f"{path}: matrix {name} row {r} has {len(vals)} values, expected {cols}")
-                    data[r] = [float(v) for v in vals]
-                matrices[name] = data
-            else:
+            if parts[0] != "matrix":
                 meta[parts[0]] = parts[1] if len(parts) > 1 else ""
-            line = fh.readline()
-    return meta, matrices
+                continue
+            header = f"{path} line {lineno}"
+            if len(parts) != 4 or not (parts[2].isdigit() and parts[3].isdigit()):
+                raise ValueError(f"{header}: expected 'matrix <name> <rows> <cols>', got {line.strip()!r}")
+            name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+            data = []  # grows with the rows read, never with the header's count
+            for r in range(rows):
+                lineno, line = next(lines, (lineno + 1, ""))
+                vals = line.split()
+                if len(vals) != cols:
+                    raise ValueError(
+                        f"{path} line {lineno}: matrix {name} row {r} has {len(vals)} values, expected {cols}"
+                    )
+                try:
+                    data.append([float(v) for v in vals])
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {lineno}: {exc}") from None
+            matrices[name] = require_finite(np.array(data).reshape(rows, cols), f"{header}: matrix {name}")
+    return meta.pop("kind", ""), meta, matrices
 
 
-def _collect_mlp(matrices, prefix: str) -> Mlp:
+def _collect_mlp(path, matrices, prefix: str, input_dim=None) -> Mlp:
+    """Layers prefix.0, prefix.1, ... up to the first missing weight: at
+    least one, each with a bias, each taking the previous layer's output."""
     layers = []
-    i = 0
-    while f"{prefix}.{i}.weight" in matrices:
-        w = matrices[f"{prefix}.{i}.weight"]
-        b = matrices[f"{prefix}.{i}.bias"].reshape(-1)
-        layers.append((w, b))
-        i += 1
+    while f"{prefix}.{len(layers)}.weight" in matrices:
+        name = f"{prefix}.{len(layers)}"
+        w, b = matrices[f"{name}.weight"], matrices.get(f"{name}.bias")
+        if b is None:
+            raise ValueError(f"{path}: missing matrix {name}.bias")
+        if b.size != w.shape[0] or (input_dim is not None and w.shape[1] != input_dim):
+            raise ValueError(f"{path}: layer {name} is {w.shape[0]}x{w.shape[1]} with {b.size} biases, "
+                             f"expected {input_dim} inputs")
+        layers.append((w, b.reshape(-1)))
+        input_dim = w.shape[0]
+    if not layers:
+        raise ValueError(f"{path}: missing matrix {prefix}.0.weight")
     return Mlp(layers)
 
 
-def checkpoint_kind(path) -> str:
-    meta, _ = _read_checkpoint(path)
-    return meta.get("kind", "")
+def load_checkpoint(path):
+    """Read a checkpoint of either kind with one parse; returns (kind,
+    model, classifier), the classifier None for a shape checkpoint.  A
+    missing or misshapen matrix raises ValueError naming the file."""
+    kind, meta, matrices = _read_checkpoint(path)
+    if kind not in ("sketch", "shape"):
+        raise ValueError(f"{path}: unknown checkpoint kind {kind!r}")
+    backbone = _collect_mlp(path, matrices, "backbone")
+    if kind == "shape":
+        return kind, ShapeModel(backbone, _collect_mlp(path, matrices, "proj", backbone.output_dim)), None
+    mu_head = _collect_mlp(path, matrices, "mu_head", backbone.output_dim)
+    logvar_head = _collect_mlp(path, matrices, "logvar_head", backbone.output_dim)
+    weights = matrices.get("classifier.weight")
+    if weights is None:
+        raise ValueError(f"{path}: missing matrix classifier.weight")
+    if logvar_head.output_dim != mu_head.output_dim or weights.shape[1] != mu_head.output_dim:
+        raise ValueError(f"{path}: logvar_head and classifier.weight must match the {mu_head.output_dim}-dim mu_head")
+    classifier = Classifier(weights, frozen=meta.get("classifier_frozen") == "true")
+    return kind, SketchModel(backbone, mu_head, logvar_head), classifier
 
 
-def load_sketch_checkpoint(path):
-    meta, matrices = _read_checkpoint(path)
-    if meta.get("kind") != "sketch":
-        raise ValueError(f"{path}: expected a sketch checkpoint, found kind {meta.get('kind')!r}")
-    model = SketchModel(
-        _collect_mlp(matrices, "backbone"),
-        _collect_mlp(matrices, "mu_head"),
-        _collect_mlp(matrices, "logvar_head"),
-    )
-    classifier = Classifier(matrices["classifier.weight"], frozen=meta.get("classifier_frozen") == "true")
+def _load_kind(path, expected: str):
+    kind, model, classifier = load_checkpoint(path)
+    if kind != expected:
+        raise ValueError(f"{path}: expected a {expected} checkpoint, found kind {kind!r}")
     return model, classifier
 
 
+def load_sketch_checkpoint(path):
+    return _load_kind(path, "sketch")
+
+
 def load_shape_checkpoint(path) -> ShapeModel:
-    meta, matrices = _read_checkpoint(path)
-    if meta.get("kind") != "shape":
-        raise ValueError(f"{path}: expected a shape checkpoint, found kind {meta.get('kind')!r}")
-    return ShapeModel(_collect_mlp(matrices, "backbone"), _collect_mlp(matrices, "proj"))
+    return _load_kind(path, "shape")[0]

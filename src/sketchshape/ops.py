@@ -1,6 +1,7 @@
-"""Dense float64 matrix operations with hand-derived gradients.
+"""Dense float64 row normalisation with its hand-derived gradient, cosine
+similarities, and the finite-difference gradient checker.
 
-Every differentiable operation has a matching ``*_backward`` companion, and
+``normalize_rows_fwd`` has a matching ``normalize_rows_bwd``, and
 ``grad_check`` verifies any (value, gradients) pair against central finite
 differences.  Row normalisation pre-scales each row by its largest entry
 magnitude before taking the norm: this cannot overflow, and an exactly
@@ -22,80 +23,6 @@ def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} contains non-finite entries")
     return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product; the inner dimensions must agree."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {_shape(a)} @ {_shape(b)}")
-    return require_finite(a @ b, "matmul result")
-
-
-def matmul_backward(grad, a, b):
-    """Gradients of sum(grad * (a @ b)) with respect to a and b."""
-    return grad @ b.T, a.T @ grad
-
-
-def _same_shape(a, b, op):
-    if a.shape != b.shape:
-        raise ValueError(f"{op} shape mismatch: {_shape(a)} vs {_shape(b)}")
-
-
-def add(a, b):
-    _same_shape(a, b, "add")
-    return a + b
-
-
-def add_backward(grad):
-    return grad, grad
-
-
-def sub(a, b):
-    _same_shape(a, b, "sub")
-    return a - b
-
-
-def sub_backward(grad):
-    return grad, -grad
-
-
-def mul(a, b):
-    """Elementwise (Hadamard) product."""
-    _same_shape(a, b, "mul")
-    return a * b
-
-
-def mul_backward(grad, a, b):
-    return grad * b, grad * a
-
-
-def exp(a):
-    with np.errstate(over="ignore"):
-        out = np.exp(a)
-    return require_finite(out, "exp result")
-
-
-def exp_backward(grad, out):
-    """out is the forward result exp(a)."""
-    return grad * out
-
-
-def log(a):
-    if np.any(a <= 0.0):
-        raise ValueError("log requires strictly positive entries")
-    return np.log(a)
-
-
-def log_backward(grad, a):
-    return grad / a
-
-
-def relu(a):
-    return np.maximum(a, 0.0)
-
-
-def relu_backward(grad, a):
-    return grad * (a > 0.0)
 
 
 def normalize_rows_fwd(m: np.ndarray, eps: float = NORM_EPS):

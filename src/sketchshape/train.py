@@ -19,8 +19,10 @@ import numpy as np
 
 from .losses import Classifier, MarginParams, transfer_loss, uncertainty_loss
 from .model import (
-    encode_shape_batch,
-    encode_sketch_batch,
+    _prepare_sketches,
+    _prepare_views,
+    _shape_forward,
+    _sketch_forward,
     init_classifier,
     init_shape_model,
     init_sketch_model,
@@ -109,8 +111,14 @@ def load_config(path, base: TrainConfig = None) -> TrainConfig:
             key, raw = (part.strip() for part in stripped.split("=", 1))
             if key not in _FIELD_TYPES:
                 raise ValueError(f"{path} line {lineno}: unknown config key {key!r}")
-            values[key] = _parse_field(key, _FIELD_TYPES[key], raw)
-    return replace(base, **values) if base is not None else TrainConfig(**values)
+            try:
+                values[key] = _parse_field(key, _FIELD_TYPES[key], raw)
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {key}: {exc}") from None
+    try:
+        return replace(base, **values) if base is not None else TrainConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def format_config(cfg: TrainConfig) -> str:
@@ -166,17 +174,40 @@ class TrainReport:
             fh.write("\n".join(self.lines()) + "\n")
 
 
-def _batches(order, batch_size):
-    for start in range(0, len(order), batch_size):
-        yield order[start : start + batch_size]
+def _fit(stage: str, cfg: TrainConfig, rng: Rng, n: int, params, step) -> TrainReport:
+    """The SGD loop both stages share.  Per epoch: the cosine learning rate
+    and one rng.permutation of the n samples; per batch of indices:
+    ``step(batch) -> (loss, grads)`` with grads ordered like params, then
+    sgd_step.  Aborts with a diagnostic if the loss goes non-finite."""
+    velocity = [np.zeros_like(p) for p in params]
+    report = TrainReport(seed=cfg.seed)
+    start_time = time.perf_counter()
+    for epoch in range(cfg.max_epochs):
+        lr = cosine_lr(epoch, cfg.max_epochs, cfg.lr0)
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            loss, grads = step(batch)
+            if not math.isfinite(loss):
+                raise RuntimeError(
+                    f"{stage} aborted: non-finite loss {loss} at epoch {epoch}, batch starting at {batch[0]}"
+                )
+            sgd_step(params, grads, lr, cfg.momentum, velocity)
+            total += loss * len(batch)
+        report.losses.append(total / n)
+        report.lrs.append(lr)
+    report.wall_time = time.perf_counter() - start_time
+    return report
 
 
-def _stack_sketches(records, cfg):
+def _stack(records, cfg, what: str, layout: str):
+    """(features, labels): the features stacked with one axis per letter of
+    ``layout`` ("N" or "NV") plus a feature_dim axis."""
     x = np.stack([np.asarray(r.features, dtype=np.float64) for r in records])
-    if x.ndim != 2 or x.shape[1] != cfg.feature_dim:
-        raise ValueError(f"sketch features have shape {x.shape}, expected Nx{cfg.feature_dim}")
-    y = np.array([r.label for r in records], dtype=np.int64)
-    return x, y
+    if x.ndim != len(layout) + 1 or x.shape[-1] != cfg.feature_dim:
+        raise ValueError(f"{what} have shape {x.shape}, expected {'x'.join(layout)}x{cfg.feature_dim}")
+    return x, np.array([r.label for r in records], dtype=np.int64)
 
 
 def train_stage1(records, cfg: TrainConfig, rng: Rng):
@@ -184,7 +215,7 @@ def train_stage1(records, cfg: TrainConfig, rng: Rng):
     report).  Aborts with a diagnostic if the loss goes non-finite."""
     if not records:
         raise ValueError("stage 1: empty training set")
-    x, y = _stack_sketches(records, cfg)
+    x, y = _stack(records, cfg, "sketch features", "N")
     present = set(y.tolist())
     missing = [c for c in range(cfg.classes) if c not in present]
     if missing:
@@ -192,42 +223,17 @@ def train_stage1(records, cfg: TrainConfig, rng: Rng):
 
     model = init_sketch_model(cfg, rng)
     classifier = init_classifier(cfg, rng)
-    params = model.parameters() + [classifier.weights]
-    velocity = [np.zeros_like(p) for p in params]
     margins = cfg.sketch_margins()
+    xn = _prepare_sketches(x)
 
-    n = len(records)
-    report = TrainReport(seed=cfg.seed)
-    start_time = time.perf_counter()
-    for epoch in range(cfg.max_epochs):
-        lr = cosine_lr(epoch, cfg.max_epochs, cfg.lr0)
-        order = rng.permutation(n)
-        total = 0.0
-        for batch in _batches(order, cfg.batch_size):
-            xb, yb = x[batch], y[batch]
-            mu, logvar, cache = encode_sketch_batch(model, xb)
-            eps = rng.normal_matrix(len(batch), cfg.embed_dim)
-            z = reparameterize(mu, logvar, eps)
-            loss, dmu, dlogvar, dw = uncertainty_loss(z, mu, logvar, classifier, yb, margins, cfg.lam)
-            if not math.isfinite(loss):
-                raise RuntimeError(
-                    f"stage 1 aborted: non-finite loss {loss} at epoch {epoch}, batch starting at {batch[0]}"
-                )
-            grads = sketch_backward(model, cache, dmu, dlogvar) + [dw]
-            sgd_step(params, grads, lr, cfg.momentum, velocity)
-            total += loss * len(batch)
-        report.losses.append(total / n)
-        report.lrs.append(lr)
-    report.wall_time = time.perf_counter() - start_time
+    def step(batch):
+        mu, logvar, cache = _sketch_forward(model, xn[batch])
+        z = reparameterize(mu, logvar, rng.normal_matrix(len(batch), cfg.embed_dim))
+        loss, dmu, dlogvar, dw = uncertainty_loss(z, mu, logvar, classifier, y[batch], margins, cfg.lam)
+        return loss, sketch_backward(model, cache, dmu, dlogvar) + [dw]
+
+    report = _fit("stage 1", cfg, rng, len(records), model.parameters() + [classifier.weights], step)
     return model, classifier.freeze(), report
-
-
-def _stack_shapes(records, cfg):
-    x = np.stack([np.asarray(r.features, dtype=np.float64) for r in records])
-    if x.ndim != 3 or x.shape[2] != cfg.feature_dim:
-        raise ValueError(f"shape view features have shape {x.shape}, expected NxVx{cfg.feature_dim}")
-    y = np.array([r.label for r in records], dtype=np.int64)
-    return x, y
 
 
 def train_stage2(records, classifier: Classifier, cfg: TrainConfig, rng: Rng):
@@ -237,38 +243,22 @@ def train_stage2(records, classifier: Classifier, cfg: TrainConfig, rng: Rng):
         raise ValueError("stage 2: empty training set")
     if not classifier.frozen:
         raise ValueError("stage 2 requires a frozen classifier from stage 1")
-    x, y = _stack_shapes(records, cfg)
+    x, y = _stack(records, cfg, "shape view features", "NV")
     extra = sorted(set(y.tolist()) - set(range(classifier.num_classes)))
     if extra:
         raise ValueError(f"stage 2: shape labels {extra} missing from the {classifier.num_classes} sketch classes")
 
     weights_before = classifier.weights.copy()
     model = init_shape_model(cfg, rng)
-    params = model.parameters()
-    velocity = [np.zeros_like(p) for p in params]
     margins = cfg.shape_margins()
+    views = _prepare_views(x)
 
-    n = len(records)
-    report = TrainReport(seed=cfg.seed)
-    start_time = time.perf_counter()
-    for epoch in range(cfg.max_epochs):
-        lr = cosine_lr(epoch, cfg.max_epochs, cfg.lr0)
-        order = rng.permutation(n)
-        total = 0.0
-        for batch in _batches(order, cfg.batch_size):
-            xb, yb = x[batch], y[batch]
-            f, cache = encode_shape_batch(model, xb)
-            loss, df, _ = transfer_loss(f, classifier, yb, margins)
-            if not math.isfinite(loss):
-                raise RuntimeError(
-                    f"stage 2 aborted: non-finite loss {loss} at epoch {epoch}, batch starting at {batch[0]}"
-                )
-            grads = shape_backward(model, cache, df)
-            sgd_step(params, grads, lr, cfg.momentum, velocity)
-            total += loss * len(batch)
-        report.losses.append(total / n)
-        report.lrs.append(lr)
-    report.wall_time = time.perf_counter() - start_time
+    def step(batch):
+        f, cache = _shape_forward(model, views[batch])
+        loss, df, _ = transfer_loss(f, classifier, y[batch], margins)
+        return loss, shape_backward(model, cache, df)
+
+    report = _fit("stage 2", cfg, rng, len(records), model.parameters(), step)
     if not np.array_equal(weights_before, classifier.weights):
         raise RuntimeError("stage 2 modified the frozen classifier")
     return model, report

@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, pipeline smoke run, determinism."""
 
+import re
+import shutil
+
 import numpy as np
 import pytest
 
+from sketchshape import model as model_mod
 from sketchshape.cli import main
 from sketchshape.data import load_dataset, load_embeddings
 from sketchshape.model import encode_sketch, load_sketch_checkpoint
@@ -112,6 +116,92 @@ class TestUsageErrors:
 
     def test_bad_noise_mode_exits_1(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path), "--noise-mode", "junk"]) == 1
+
+
+def _drop_matrices(text, prefix):
+    head, *blocks = text.split("\nmatrix ")
+    return "\nmatrix ".join([head] + [b for b in blocks if not b.startswith(prefix)])
+
+
+def _edit_matrix_lines(text, name, edit):
+    """edit(header_line, first_row) -> (header_line, first_row) for matrix name."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"matrix {name} "))
+    lines[i], lines[i + 1] = edit(lines[i], lines[i + 1])
+    return "\n".join(lines) + "\n"
+
+
+CHECKPOINT_FAULTS = {
+    "no_classifier": ("sketch.ckpt", lambda t: _drop_matrices(t, "classifier.weight "),
+                      r"sketch.ckpt: missing matrix classifier.weight"),
+    "no_mu_head": ("sketch.ckpt", lambda t: _drop_matrices(t, "mu_head."), r"sketch.ckpt: missing matrix mu_head.0.weight"),
+    "no_bias": ("shape.ckpt", lambda t: _drop_matrices(t, "proj.0.bias "), r"shape.ckpt: missing matrix proj.0.bias"),
+    "nan_value": ("sketch.ckpt",
+                  lambda t: _edit_matrix_lines(t, "logvar_head.0.weight", lambda h, r: (h, "nan " + r.split(" ", 1)[1])),
+                  r"sketch.ckpt line \d+: matrix logvar_head.0.weight contains non-finite"),
+    "bad_header": ("sketch.ckpt",
+                   lambda t: _edit_matrix_lines(t, "backbone.0.weight", lambda h, r: (h.rsplit(" ", 1)[0] + " x", r)),
+                   r"sketch.ckpt line 4: expected 'matrix <name> <rows> <cols>'"),
+    "bad_value": ("shape.ckpt",
+                  lambda t: _edit_matrix_lines(t, "proj.0.weight", lambda h, r: (h, "1.0.0 " + r.split(" ", 1)[1])),
+                  r"shape.ckpt line \d+: could not convert"),
+}
+
+
+class TestBadInputs:
+    """Each malformed input exits 2 with an error line naming the file."""
+
+    @staticmethod
+    def _fails(argv, capsys, pattern):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert re.search(pattern, err), err
+
+    @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+    def test_bad_checkpoint_exits_2(self, pipeline, tmp_path, capsys, fault):
+        name, edit, pattern = CHECKPOINT_FAULTS[fault]
+        bad = tmp_path / name
+        bad.write_text(edit((pipeline["run"] / name).read_text()))
+        argv = ["embed", "--checkpoint", str(bad), "--data", str(pipeline["data"]), "--out", str(tmp_path / "e.csv")]
+        self._fails(argv, capsys, pattern)
+        assert not (tmp_path / "e.csv").exists()
+
+    def _train_sketch(self, data, tmp_path, cfg):
+        return ["train-sketch", "--data", str(data), "--out", str(tmp_path / "run"), "--config", str(cfg)]
+
+    def test_manifest_without_classes_exits_2(self, pipeline, tmp_path, capsys):
+        data = shutil.copytree(pipeline["data"], tmp_path / "data")
+        manifest = data / "manifest.txt"
+        manifest.write_text("".join(l for l in manifest.read_text().splitlines(True) if not l.startswith("classes")))
+        self._fails(self._train_sketch(data, tmp_path, pipeline["cfg"]), capsys, r"manifest.txt: missing key 'classes'")
+
+    def test_bad_config_value_exits_2(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("hidden = a\n")
+        self._fails(self._train_sketch(pipeline["data"], tmp_path, cfg), capsys, r"bad.cfg line 1: hidden")
+
+    def test_nan_in_sketches_csv_exits_2(self, pipeline, tmp_path, capsys):
+        data = shutil.copytree(pipeline["data"], tmp_path / "data")
+        lines = (data / "sketches.csv").read_text().splitlines()
+        fields = lines[4].split(",")
+        lines[4] = ",".join(fields[:5] + ["nan"] + fields[6:])
+        (data / "sketches.csv").write_text("\n".join(lines) + "\n")
+        pattern = rf"sketches.csv line 5: row {fields[0]} has non-finite values"
+        self._fails(self._train_sketch(data, tmp_path, pipeline["cfg"]), capsys, pattern)
+
+
+class TestEmbedParsesOnce:
+    @pytest.mark.parametrize("name", ["sketch.ckpt", "shape.ckpt"])
+    def test_one_checkpoint_parse(self, pipeline, tmp_path, monkeypatch, name):
+        calls = []
+        read = model_mod._read_checkpoint
+        monkeypatch.setattr(model_mod, "_read_checkpoint", lambda path: calls.append(path) or read(path))
+        out = tmp_path / "e.csv"
+        assert main(["embed", "--checkpoint", str(pipeline["run"] / name), "--data", str(pipeline["data"]),
+                     "--out", str(out)]) == 0
+        assert calls == [str(pipeline["run"] / name)]
 
 
 class TestGenData:

@@ -136,6 +136,33 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match="line 2"):
             read_feature_csv(path)
 
+    def test_non_finite_value_reports_line_and_id(self, tmp_path):
+        path = tmp_path / "feat.csv"
+        path.write_text("id,label,split,modality,v0,v1\nx,0,train,sketch,1.0,2.0\ny,1,train,sketch,3.0,-inf\n")
+        with pytest.raises(ValueError, match=r"feat.csv line 3: row y has non-finite"):
+            read_feature_csv(path)
+
+    def test_finite_values_with_overflowing_sum_accepted(self, tmp_path):
+        path = tmp_path / "feat.csv"
+        path.write_text("id,label,split,modality,v0,v1\nx,0,train,sketch,1e308,1e308\n")
+        rows, _ = read_feature_csv(path)
+        np.testing.assert_array_equal(rows[0][4], [1e308, 1e308])
+
+    def test_manifest_missing_key_named(self, tmp_path):
+        save_dataset(small_dataset(seed=9), tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(l for l in lines if not l.startswith("classes")) + "\n")
+        with pytest.raises(ValueError, match=r"manifest.txt: missing key 'classes'"):
+            load_dataset(tmp_path)
+
+    def test_manifest_bad_value_reports_line(self, tmp_path):
+        save_dataset(small_dataset(seed=9), tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("views = 3", "views = three"))
+        with pytest.raises(ValueError, match=r"manifest.txt line 4: views"):
+            load_dataset(tmp_path)
+
     def test_manifest_count_mismatch_detected(self, tmp_path):
         ds = small_dataset(seed=9)
         save_dataset(ds, tmp_path)
@@ -167,7 +194,8 @@ class TestEmbeddingFiles:
         matrix[5, 0] = np.nan
         path = tmp_path / "emb.csv"
         save_embeddings(path, records, matrix)
-        with pytest.raises(ValueError, match=f"emb.csv: embedding {records[2].sample_id} has non-finite"):
+        # records[2] is on line 4 (header, then records 0 and 1)
+        with pytest.raises(ValueError, match=f"emb.csv line 4: row {records[2].sample_id} has non-finite"):
             load_embeddings(path)
 
     def test_row_count_mismatch_rejected(self, tmp_path):

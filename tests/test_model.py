@@ -10,6 +10,7 @@ from reference import mlp_forward_bruteforce
 from sketchshape.gradcheck import check_shape_chain, check_sketch_chain
 from sketchshape.losses import Classifier
 from sketchshape.model import (
+    _canonical_view_order,
     GaussianEmbedding,
     Mlp,
     encode_shape,
@@ -18,7 +19,6 @@ from sketchshape.model import (
     encode_sketch_batch,
     init_classifier,
     init_mlp,
-    init_params,
     init_shape_model,
     init_sketch_model,
     load_shape_checkpoint,
@@ -235,15 +235,29 @@ class TestEncodeShape:
             np.testing.assert_allclose(batch[i], encode_shape(model, views[i]), atol=1e-14)
 
 
+    def test_canonical_order_matches_per_shape_lexsort(self):
+        # integer-valued views tie on leading columns; the last view of each
+        # shape duplicates its first
+        rng = Rng(34)
+        for _ in range(200):
+            n, v, d = 1 + rng.integer(4), 1 + rng.integer(6), 1 + rng.integer(4)
+            views = np.floor(rng.uniform_matrix(n * v, d, -2.0, 2.0)).reshape(n, v, d)
+            views[:, -1] = views[:, 0]
+            order = _canonical_view_order(views)
+            for i in range(n):
+                np.testing.assert_array_equal(order[i], np.lexsort(views[i].T[::-1]))
+
+
 class TestInit:
     def test_same_seed_identical_parameters(self):
         cfg = _tiny_cfg()
-        a = init_params(cfg, Rng(77))
-        b = init_params(cfg, Rng(77))
-        for pa, pb in zip(
-            a[0].parameters() + [a[1].weights] + a[2].parameters(),
-            b[0].parameters() + [b[1].weights] + b[2].parameters(),
-        ):
+
+        def draw(seed):
+            rng = Rng(seed)
+            sketch, classifier, shape = init_sketch_model(cfg, rng), init_classifier(cfg, rng), init_shape_model(cfg, rng)
+            return sketch.parameters() + [classifier.weights] + shape.parameters()
+
+        for pa, pb in zip(draw(77), draw(77)):
             np.testing.assert_array_equal(pa, pb)
 
     def test_biases_zero_and_weight_bounds(self):

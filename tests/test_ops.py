@@ -7,82 +7,6 @@ from sketchshape import gradcheck, ops
 from sketchshape.rng import Rng
 
 
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(ops.matmul(np.eye(2), b), b)
-
-    def test_hand_case(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[1.0], [1.0]])
-        np.testing.assert_array_equal(ops.matmul(a, b), np.array([[3.0], [7.0]]))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"2x3 @ 2x2"):
-            ops.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_backward_matches_fd(self):
-        rng = Rng(0)
-        a = rng.uniform_matrix(3, 4, -2.0, 2.0)
-        b = rng.uniform_matrix(4, 2, -2.0, 2.0)
-        g = rng.uniform_matrix(3, 2, -1.0, 1.0)
-
-        def f(ps):
-            out = ps[0] @ ps[1]
-            return float(np.sum(g * out)), list(ops.matmul_backward(g, ps[0], ps[1]))
-
-        assert ops.grad_check(f, [a, b]) < 1e-8
-
-
-class TestElementwise:
-    def test_add_sub_mul_values(self):
-        a = np.array([[1.0, -2.0]])
-        b = np.array([[3.0, 5.0]])
-        np.testing.assert_array_equal(ops.add(a, b), [[4.0, 3.0]])
-        np.testing.assert_array_equal(ops.sub(a, b), [[-2.0, -7.0]])
-        np.testing.assert_array_equal(ops.mul(a, b), [[3.0, -10.0]])
-        with pytest.raises(ValueError, match="shape mismatch"):
-            ops.add(a, np.zeros((2, 2)))
-
-    def test_exp_log_relu_values(self):
-        a = np.array([[0.0, 1.0]])
-        np.testing.assert_allclose(ops.exp(a), [[1.0, np.e]])
-        np.testing.assert_allclose(ops.log(np.array([[1.0, np.e]])), [[0.0, 1.0]], atol=1e-15)
-        np.testing.assert_array_equal(ops.relu(np.array([[-1.0, 2.0]])), [[0.0, 2.0]])
-        with pytest.raises(ValueError, match="positive"):
-            ops.log(np.array([[0.0]]))
-        with pytest.raises(ValueError, match="non-finite"):
-            ops.exp(np.array([[1000.0]]))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_all_backwards_match_fd(self, seed):
-        # every elementwise op's gradient vs central differences on [-2, 2]
-        rng = Rng(seed)
-        a = rng.uniform_matrix(3, 4, -2.0, 2.0)
-        b = rng.uniform_matrix(3, 4, -2.0, 2.0)
-        g = rng.uniform_matrix(3, 4, -1.0, 1.0)
-        checks = [
-            (lambda ps: (float(np.sum(g * ops.add(ps[0], ps[1]))), list(ops.add_backward(g))), [a, b]),
-            (lambda ps: (float(np.sum(g * ops.sub(ps[0], ps[1]))), list(ops.sub_backward(g))), [a, b]),
-            (
-                lambda ps: (float(np.sum(g * ops.mul(ps[0], ps[1]))), list(ops.mul_backward(g, ps[0], ps[1]))),
-                [a, b],
-            ),
-            (lambda ps: (float(np.sum(g * ops.exp(ps[0]))), [ops.exp_backward(g, ops.exp(ps[0]))]), [a]),
-            (
-                lambda ps: (float(np.sum(g * ops.log(ps[0]))), [ops.log_backward(g, ps[0])]),
-                [np.abs(a) + 0.5],
-            ),
-            # keep inputs away from the relu kink so finite differences are valid
-            (
-                lambda ps: (float(np.sum(g * ops.relu(ps[0]))), [ops.relu_backward(g, ps[0])]),
-                [np.where(np.abs(a) < 1e-3, 0.5, a)],
-            ),
-        ]
-        for f, params in checks:
-            assert ops.grad_check(f, params) < 1e-4
-
-
 class TestNormalizeRows:
     def test_three_four_five(self):
         np.testing.assert_allclose(ops.l2_normalize_rows(np.array([[3.0, 4.0]])), [[0.6, 0.8]], rtol=1e-15)

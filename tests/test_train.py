@@ -1,12 +1,13 @@
 """Two-stage trainer: schedule, SGD, determinism, stage contracts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sketchshape.data import generate
-from sketchshape.losses import center_accuracy
+from sketchshape.losses import Classifier, center_accuracy
 from sketchshape.model import encode_shape_batch, encode_sketch_batch
 from sketchshape.rng import Rng
 from sketchshape.train import (
@@ -144,6 +145,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(path)
 
+    def test_bad_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("lr0 = 0.01\nhidden = a\n")
+        with pytest.raises(ValueError, match=r"train.cfg line 2: hidden: invalid literal"):
+            load_config(path)
+
+    def test_invalid_value_names_file(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("batch_size = 0\n")
+        with pytest.raises(ValueError, match=r"train.cfg: batch_size must be >= 1"):
+            load_config(path)
+
 
 class TestTrainReport:
     def test_file_has_no_wall_time(self, tmp_path):
@@ -256,6 +269,20 @@ class TestStage2:
         records[0].label = 7
         with pytest.raises(ValueError, match="missing from"):
             train_stage2(records, classifier, cfg, Rng(0))
+
+    def test_view_order_within_a_shape_changes_no_bit(self):
+        ds = easy_dataset(11)
+        cfg = easy_cfg(max_epochs=3)
+        classifier = Classifier(Rng(12).uniform_matrix(EASY["classes"], cfg.embed_dim, -1.0, 1.0), frozen=True)
+        records = ds.shapes("train")
+        perm_rng = Rng(13)
+        permuted = [replace(r, features=r.features[perm_rng.permutation(EASY["views"])]) for r in records]
+        assert any(not np.array_equal(a.features, b.features) for a, b in zip(records, permuted))
+        m1, r1 = train_stage2(records, classifier, cfg, Rng(14))
+        m2, r2 = train_stage2(permuted, classifier, cfg, Rng(14))
+        assert r1.losses == r2.losses
+        for a, b in zip(m1.parameters(), m2.parameters()):
+            np.testing.assert_array_equal(a, b)
 
     def test_zero_lr_leaves_shape_model_unchanged(self):
         ds, cfg, _, classifier = self._stage1()
