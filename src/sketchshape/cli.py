@@ -84,7 +84,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_sketch(args) -> int:
-    ds = data_mod.load_dataset(args.data)
+    ds = data_mod.load_dataset(args.data, "sketch")
     cfg = _config_for_dataset(args, ds.manifest)
     _print_config("train-sketch", cfg)
     rng = Rng(cfg.seed)
@@ -100,7 +100,7 @@ def cmd_train_sketch(args) -> int:
 
 
 def cmd_train_shape(args) -> int:
-    ds = data_mod.load_dataset(args.data)
+    ds = data_mod.load_dataset(args.data, "shape")
     cfg = _config_for_dataset(args, ds.manifest)
     _print_config("train-shape", cfg)
     _, classifier = load_sketch_checkpoint(args.checkpoint)
@@ -121,7 +121,7 @@ def cmd_train_shape(args) -> int:
 def cmd_embed(args) -> int:
     print(f"[embed] checkpoint = {args.checkpoint}, data = {args.data}, split = {args.split}")
     kind, model, _ = load_checkpoint(args.checkpoint)
-    ds = data_mod.load_dataset(args.data)
+    ds = data_mod.load_dataset(args.data, kind)
     records = ds.subset(kind, args.split)
     if not records:
         raise ValueError(f"no {kind} records in split {args.split!r}")
@@ -155,7 +155,7 @@ def cmd_eval(args) -> int:
 def cmd_report_uncertainty(args) -> int:
     print(f"[report-uncertainty] checkpoint = {args.checkpoint}, data = {args.data}, split = {args.split}")
     model, _ = load_sketch_checkpoint(args.checkpoint)
-    ds = data_mod.load_dataset(args.data)
+    ds = data_mod.load_dataset(args.data, "sketch")
     records = ds.sketches(args.split)
     if not records:
         raise ValueError(f"no sketch records in split {args.split!r}")

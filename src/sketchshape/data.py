@@ -169,7 +169,7 @@ def write_feature_csv(path, rows, dim: int) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_feature_header(dim) + "\n")
         for sample_id, label, split, modality, vec in rows:
-            values = ",".join(repr(float(v)) for v in vec)
+            values = ",".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
             fh.write(f"{sample_id},{label},{split},{modality},{values}\n")
 
 
@@ -285,55 +285,90 @@ def load_manifest(path) -> Manifest:
     )
 
 
-def load_dataset(indir) -> Dataset:
-    indir = Path(indir)
-    manifest = load_manifest(indir / "manifest.txt")
-
+def _read_noisy(path) -> dict:
     noisy = {}
-    with open(indir / "noisy.csv", "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
         if header != "id,noisy":
-            raise ValueError(f"{indir / 'noisy.csv'}: unrecognised header {header!r}")
+            raise ValueError(f"{path}: unrecognised header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != 2:
-                raise ValueError(f"{indir / 'noisy.csv'} line {lineno}: expected 2 fields")
+                raise ValueError(f"{path} line {lineno}: expected 2 fields")
             noisy[parts[0]] = parts[1] == "1"
+    return noisy
 
-    records = []
-    sketch_rows, dim = read_feature_csv(indir / "sketches.csv")
-    if dim != manifest.feature_dim:
-        raise ValueError(f"sketches.csv dim {dim} != manifest feature_dim {manifest.feature_dim}")
-    for sample_id, label, split, modality, vec in sketch_rows:
-        records.append(SampleRecord(sample_id, label, split, modality, vec, noisy.get(sample_id, False)))
 
-    shape_rows, dim = read_feature_csv(indir / "shapes.csv")
+def _read_rows(path, manifest: Manifest):
+    """The rows of one of the dataset's feature files, checked against the
+    manifest's feature dimension and class count."""
+    rows, dim = read_feature_csv(path)
     if dim != manifest.feature_dim:
-        raise ValueError(f"shapes.csv dim {dim} != manifest feature_dim {manifest.feature_dim}")
+        raise ValueError(f"{path}: dim {dim} != manifest feature_dim {manifest.feature_dim}")
+    for sample_id, label, *_ in rows:
+        if not 0 <= label < manifest.classes:
+            raise ValueError(f"{path}: row {sample_id} has label {label}, manifest says {manifest.classes} classes")
+    return rows
+
+
+def _load_sketches(indir: Path, manifest: Manifest):
+    noisy = _read_noisy(indir / "noisy.csv")
+    return [
+        SampleRecord(sample_id, label, split, modality, vec, noisy.get(sample_id, False))
+        for sample_id, label, split, modality, vec in _read_rows(indir / "sketches.csv", manifest)
+    ]
+
+
+def _load_shapes(indir: Path, manifest: Manifest):
+    """One record per shape from its view rows, which must agree on label,
+    split and modality and be numbered .v00 to the manifest's view count."""
+    path = indir / "shapes.csv"
     grouped = {}
     meta = {}
-    for sample_id, label, split, modality, vec in shape_rows:
+    for sample_id, label, split, modality, vec in _read_rows(path, manifest):
         base, _, suffix = sample_id.rpartition(".v")
         if not base or not suffix.isdigit():
-            raise ValueError(f"shapes.csv: view row id {sample_id!r} lacks a .vNN suffix")
+            raise ValueError(f"{path}: view row id {sample_id!r} lacks a .vNN suffix")
+        row_meta = (label, split, modality)
+        if meta.setdefault(base, row_meta) != row_meta:
+            raise ValueError(f"{path}: view row {sample_id} disagrees with shape {base} on label, split or modality")
         grouped.setdefault(base, []).append((int(suffix), vec))
-        meta[base] = (label, split, modality)
+    records = []
     for base, items in grouped.items():
         items.sort(key=lambda t: t[0])
-        if manifest.views and len(items) != manifest.views:
-            raise ValueError(f"shape {base} has {len(items)} views, manifest says {manifest.views}")
+        views = [j for j, _ in items]
+        if views != list(range(manifest.views)):
+            raise ValueError(f"{path}: shape {base} has views {views}, manifest says {manifest.views}")
         label, split, modality = meta[base]
         records.append(SampleRecord(base, label, split, modality, np.stack([v for _, v in items]), False))
+    return records
 
+
+def load_dataset(indir, modality=None) -> Dataset:
+    """Read ``manifest.txt`` and the files of one modality: ``"sketch"``
+    reads ``noisy.csv`` and ``sketches.csv``, ``"shape"`` reads
+    ``shapes.csv`` and None reads both.  The manifest's counts are checked
+    for each modality read."""
+    if modality not in (None, "sketch", "shape"):
+        raise ValueError(f"modality must be 'sketch', 'shape' or None, got {modality!r}")
+    indir = Path(indir)
+    manifest = load_manifest(indir / "manifest.txt")
+    records = []
+    if modality in (None, "sketch"):
+        records += _load_sketches(indir, manifest)
+    if modality in (None, "shape"):
+        records += _load_shapes(indir, manifest)
     ds = Dataset(manifest, records)
     for key, expected in manifest.counts.items():
-        modality, split = key.split("_", 1)
-        actual = len(ds.subset(modality, split))
+        kind, _, split = key.partition("_")
+        if modality not in (None, kind):
+            continue
+        actual = len(ds.subset(kind, split))
         if actual != expected:
-            raise ValueError(f"manifest count {key} = {expected} but found {actual} records")
+            raise ValueError(f"{indir / 'manifest.txt'}: manifest count {key} = {expected} but found {actual} records")
     return ds
 
 

@@ -423,16 +423,9 @@ def load_checkpoint(path):
     return kind, SketchModel(backbone, mu_head, logvar_head), classifier
 
 
-def _load_kind(path, expected: str):
-    kind, model, classifier = load_checkpoint(path)
-    if kind != expected:
-        raise ValueError(f"{path}: expected a {expected} checkpoint, found kind {kind!r}")
-    return model, classifier
-
-
 def load_sketch_checkpoint(path):
-    return _load_kind(path, "sketch")
-
-
-def load_shape_checkpoint(path) -> ShapeModel:
-    return _load_kind(path, "shape")[0]
+    """(model, classifier) of a sketch checkpoint; any other kind raises."""
+    kind, model, classifier = load_checkpoint(path)
+    if kind != "sketch":
+        raise ValueError(f"{path}: expected a sketch checkpoint, found kind {kind!r}")
+    return model, classifier

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from sketchshape import data as data_mod
 from sketchshape import model as model_mod
 from sketchshape.cli import main
 from sketchshape.data import load_dataset, load_embeddings
@@ -190,6 +191,39 @@ class TestBadInputs:
         (data / "sketches.csv").write_text("\n".join(lines) + "\n")
         pattern = rf"sketches.csv line 5: row {fields[0]} has non-finite values"
         self._fails(self._train_sketch(data, tmp_path, pipeline["cfg"]), capsys, pattern)
+
+    def test_nan_in_shapes_csv_exits_2(self, pipeline, tmp_path, capsys):
+        data = shutil.copytree(pipeline["data"], tmp_path / "data")
+        lines = (data / "shapes.csv").read_text().splitlines()
+        fields = lines[6].split(",")
+        lines[6] = ",".join(fields[:-1] + ["nan"])
+        (data / "shapes.csv").write_text("\n".join(lines) + "\n")
+        argv = ["train-shape", "--data", str(data), "--checkpoint", str(pipeline["run"] / "sketch.ckpt"),
+                "--out", str(tmp_path / "run"), "--config", str(pipeline["cfg"])]
+        self._fails(argv, capsys, rf"shapes.csv line 7: row {re.escape(fields[0])} has non-finite values")
+
+
+class TestEachCommandReadsItsModality:
+    """A command parses the feature file of the modality it uses, once."""
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            (["train-sketch", "--config", "{cfg}"], ["sketches.csv"]),
+            (["embed", "--checkpoint", "{run}/sketch.ckpt"], ["sketches.csv"]),
+            (["report-uncertainty", "--checkpoint", "{run}/sketch.ckpt"], ["sketches.csv"]),
+            (["train-shape", "--checkpoint", "{run}/sketch.ckpt", "--config", "{cfg}"], ["shapes.csv"]),
+            (["embed", "--checkpoint", "{run}/shape.ckpt"], ["shapes.csv"]),
+        ],
+        ids=["train-sketch", "embed-sketch", "report-uncertainty", "train-shape", "embed-shape"],
+    )
+    def test_reads_only_its_feature_file(self, pipeline, tmp_path, monkeypatch, command, expected):
+        opened = []
+        read = data_mod.read_feature_csv
+        monkeypatch.setattr(data_mod, "read_feature_csv", lambda path: opened.append(path.name) or read(path))
+        argv = [arg.format(cfg=pipeline["cfg"], run=pipeline["run"]) for arg in command]
+        assert main(argv + ["--data", str(pipeline["data"]), "--out", str(tmp_path / "out")]) == 0
+        assert opened == expected
 
 
 class TestEmbedParsesOnce:

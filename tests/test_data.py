@@ -171,6 +171,53 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match="manifest count"):
             load_dataset(tmp_path)
 
+    def test_sketch_load_checks_manifest_count(self, tmp_path):
+        save_dataset(small_dataset(seed=9), tmp_path)
+        sketches = (tmp_path / "sketches.csv").read_text().splitlines()
+        (tmp_path / "sketches.csv").write_text("\n".join(sketches[:-1]) + "\n")
+        with pytest.raises(ValueError, match="manifest count sketch_test"):
+            load_dataset(tmp_path, "sketch")
+
+    @pytest.mark.parametrize("modality, skipped", [("sketch", ["shapes.csv"]),
+                                                   ("shape", ["sketches.csv", "noisy.csv"])])
+    def test_one_modality_reads_only_its_files(self, tmp_path, modality, skipped):
+        ds = small_dataset(seed=9, noise_frac=0.3)
+        save_dataset(ds, tmp_path)
+        for name in skipped:
+            (tmp_path / name).unlink()
+        loaded = load_dataset(tmp_path, modality)
+        expected = [r for r in ds.records if r.modality == modality]
+        assert [(r.sample_id, r.label, r.split, r.noisy) for r in loaded.records] == [
+            (r.sample_id, r.label, r.split, r.noisy) for r in expected
+        ]
+        for got, want in zip(loaded.records, expected):
+            np.testing.assert_array_equal(got.features, want.features)
+
+    @pytest.mark.parametrize(
+        "name, line, edit, pattern",
+        [
+            ("sketches.csv", 2, lambda f: f[:1] + ["3"] + f[2:],
+             r"sketches.csv: row sketch_train_0000 has label 3, manifest says 3 classes"),
+            ("sketches.csv", 3, lambda f: f[:1] + ["-1"] + f[2:], r"sketches.csv: row sketch_train_0001 has label -1"),
+            ("shapes.csv", 2, lambda f: ["shape_train_0000.v01"] + f[1:],
+             r"shapes.csv: shape shape_train_0000 has views \[1, 1, 2\]"),
+            ("shapes.csv", 3, lambda f: f[:2] + ["test"] + f[3:],
+             r"shapes.csv: view row shape_train_0000.v01 disagrees"),
+        ],
+        ids=["label-too-large", "label-negative", "duplicate-view", "view-split"],
+    )
+    def test_inconsistent_rows_rejected(self, tmp_path, name, line, edit, pattern):
+        save_dataset(small_dataset(seed=9), tmp_path)
+        lines = (tmp_path / name).read_text().splitlines()
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=pattern):
+            load_dataset(tmp_path)
+
+    def test_unknown_modality_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="modality"):
+            load_dataset(tmp_path, "audio")
+
 
 class TestEmbeddingFiles:
     def test_round_trip(self, tmp_path):
@@ -217,3 +264,15 @@ class TestEmbeddingFiles:
         assert dim == 2
         assert loaded[0][0] == "a"
         np.testing.assert_array_equal(loaded[0][4], rows[0][4])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_write_feature_csv_bytes(self, tmp_path, dtype):
+        values = np.array([-0.0, 5e-324, 1e-05, 1e16, 0.1, -2.5, 1 / 3], dtype=dtype)
+        path = tmp_path / "f.csv"
+        write_feature_csv(path, [("a", 1, "test", "shape", values), ("b", 0, "train", "shape", values[::-1])], 7)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "id,label,split,modality," + ",".join(f"v{i}" for i in range(7))
+        assert lines[1] == "a,1,test,shape," + ",".join(repr(float(v)) for v in values)
+        assert lines[2] == "b,0,train,shape," + ",".join(repr(float(v)) for v in values[::-1])
+        if dtype is np.float64:
+            assert lines[1] == "a,1,test,shape,-0.0,5e-324,1e-05,1e+16,0.1,-2.5,0.3333333333333333"

@@ -21,7 +21,7 @@ from sketchshape.model import (
     init_mlp,
     init_shape_model,
     init_sketch_model,
-    load_shape_checkpoint,
+    load_checkpoint,
     load_sketch_checkpoint,
     mlp_forward,
     reparameterize,
@@ -301,7 +301,8 @@ class TestCheckpoints:
         model = init_shape_model(_tiny_cfg(), Rng(82))
         path = tmp_path / "shape.ckpt"
         save_shape_checkpoint(path, model)
-        loaded = load_shape_checkpoint(path)
+        kind, loaded, classifier = load_checkpoint(path)
+        assert kind == "shape" and classifier is None
         for pa, pb in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(pa, pb)
 
@@ -316,7 +317,7 @@ class TestCheckpoints:
         path = tmp_path / "junk.ckpt"
         path.write_text("not a checkpoint\n")
         with pytest.raises(ValueError, match="magic"):
-            load_shape_checkpoint(path)
+            load_checkpoint(path)
 
 
 class TestFullChainGradients:
