@@ -17,15 +17,7 @@ from .losses import (
     uncertainty_loss,
 )
 from .metrics import MetricReport, RankedList, average_precision, dcg, e_measure, evaluate, rank, tier_metrics
-from .model import (
-    GaussianEmbedding,
-    Mlp,
-    ShapeModel,
-    SketchModel,
-    encode_shape,
-    encode_sketch,
-    reparameterize,
-)
+from .model import Mlp, ShapeModel, SketchModel, reparameterize
 from .ops import cosine_matrix, grad_check, l2_normalize_rows
 from .rng import Rng
 from .train import TrainConfig, TrainReport, cosine_lr, sgd_step, train_stage1, train_stage2
@@ -35,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Classifier",
-    "GaussianEmbedding",
     "MarginParams",
     "MetricReport",
     "Mlp",
@@ -53,8 +44,6 @@ __all__ = [
     "dcg",
     "detection_auc",
     "e_measure",
-    "encode_shape",
-    "encode_sketch",
     "evaluate",
     "grad_check",
     "harmonic_mean",

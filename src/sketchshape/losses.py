@@ -16,6 +16,12 @@ kl_gaussian:
 In stage 1 (mu, s2) is the sketch encoder's unit-scale Gaussian (see
 ``model.unit_scale_forward``): mu has length 1, so the KL's mu^2 part is a
 constant and the term acts on the variance alone.
+
+The public functions check their arguments and call the private cores
+(``_margin_core``, ``_kl_core``, ``_uncertainty_core``), which do the
+arithmetic alone.  The trainer validates once per run and calls the cores
+on every step, so the gradients it trains with are the ones the
+finite-difference checks verify through the public functions.
 """
 
 from dataclasses import dataclass
@@ -64,14 +70,77 @@ class Classifier:
         return Classifier(self.weights.copy(), frozen=True)
 
 
-def _check_labels(labels, num_classes, n):
+def _check_batch(z, weights, labels):
+    """(z, weights, labels) as float64, float64 and int64 arrays, after the
+    shape and label-range checks every public loss makes."""
+    z = np.asarray(z, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] < 1:
+        raise ValueError(f"need a non-empty NxD embedding batch, got shape {z.shape}")
+    if z.shape[1] != weights.shape[1]:
+        raise ValueError(f"embedding dim {z.shape[1]} != class-center dim {weights.shape[1]}")
+    n, c = z.shape[0], weights.shape[0]
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise ValueError(f"expected {n} labels, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        bad = labels[(labels < 0) | (labels >= num_classes)]
-        raise ValueError(f"labels out of range [0, {num_classes}): {sorted(set(bad.tolist()))}")
-    return labels
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
+        bad = labels[(labels < 0) | (labels >= c)]
+        raise ValueError(f"labels out of range [0, {c}): {sorted(set(bad.tolist()))}")
+    return z, weights, labels
+
+
+def _check_gaussian(mu, logvar):
+    """(mu, logvar) as float64 arrays of one shape."""
+    mu = np.asarray(mu, dtype=np.float64)
+    logvar = np.asarray(logvar, dtype=np.float64)
+    if mu.shape != logvar.shape:
+        raise ValueError(f"mu shape {mu.shape} != logvar shape {logvar.shape}")
+    return mu, logvar
+
+
+def _margin_core(z, centers, labels, params: MarginParams):
+    """The margin softmax of margin_cosine_loss on checked arrays.
+
+    ``centers`` is ``normalize_rows_fwd(weights)``, so a caller whose
+    weights do not change normalises them once.  Returns (loss, dz, dcos,
+    zb): the gradient per cosine and the normalised batch, from which a
+    caller that trains the weights takes
+    ``dweights = normalize_rows_bwd(dcos.T @ zb, *centers)``.
+    """
+    wb = centers[0]
+    n = z.shape[0]
+    zb, znorms, zfull = normalize_rows_fwd(z)
+    logits = params.scale * (zb @ wb.T)
+    rows = np.arange(n)
+    logits[rows, labels] -= params.scale * params.margin
+
+    row_max = np.maximum.reduce(logits, axis=1, keepdims=True)
+    shifted = np.exp(logits - row_max)
+    denom = np.add.reduce(shifted, axis=1, keepdims=True)
+    log_prob = (logits[rows, labels] - row_max[:, 0]) - np.log(denom[:, 0])
+    loss = float(-(np.add.reduce(log_prob) / n))
+
+    probs = shifted / denom
+    probs[rows, labels] -= 1.0
+    dcos = (params.scale / n) * probs
+    return loss, normalize_rows_bwd(dcos @ wb, zb, znorms, zfull), dcos, zb
+
+
+def _kl_core(mu, logvar):
+    """kl_gaussian on arrays through _check_gaussian."""
+    sig2 = np.exp(logvar)
+    terms = -0.5 * (1.0 + logvar - mu * mu - sig2)
+    inv = 1.0 / terms.size
+    return float(np.add.reduce(terms, axis=None) / terms.size), mu * inv, 0.5 * (sig2 - 1.0) * inv
+
+
+def _uncertainty_core(z, mu, logvar, centers, labels, params: MarginParams, lam: float):
+    """uncertainty_loss on checked arrays, with ``centers`` as in
+    _margin_core; returns (loss, dmu, dlogvar, dcos, zb)."""
+    lmc, dz, dcos, zb = _margin_core(z, centers, labels, params)
+    kl, dmu_kl, dlv_kl = _kl_core(mu, logvar)
+    # dz/dlogvar = eps * sigma / 2 = (z - mu) / 2 for the fixed eps draw.
+    return lmc + lam * kl, dz + lam * dmu_kl, 0.5 * (z - mu) * dz + lam * dlv_kl, dcos, zb
 
 
 def margin_cosine_loss(z, weights, labels, params: MarginParams):
@@ -80,34 +149,10 @@ def margin_cosine_loss(z, weights, labels, params: MarginParams):
     The margin is subtracted from the ground-truth cosine only.  Logits are
     shifted by their row max before exponentiation (mandatory at s = 30).
     """
-    z = np.asarray(z, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1:
-        raise ValueError(f"need a non-empty NxD embedding batch, got shape {z.shape}")
-    if z.shape[1] != weights.shape[1]:
-        raise ValueError(f"embedding dim {z.shape[1]} != class-center dim {weights.shape[1]}")
-    n, c = z.shape[0], weights.shape[0]
-    labels = _check_labels(labels, c, n)
-
-    zb, znorms, zfull = normalize_rows_fwd(z)
-    wb, wnorms, wfull = normalize_rows_fwd(weights)
-    cosines = zb @ wb.T
-    logits = params.scale * cosines
-    rows = np.arange(n)
-    logits[rows, labels] -= params.scale * params.margin
-
-    row_max = logits.max(axis=1, keepdims=True)
-    shifted = np.exp(logits - row_max)
-    denom = shifted.sum(axis=1, keepdims=True)
-    log_prob = (logits[rows, labels] - row_max[:, 0]) - np.log(denom[:, 0])
-    loss = float(-np.mean(log_prob))
-
-    probs = shifted / denom
-    probs[rows, labels] -= 1.0
-    dcos = (params.scale / n) * probs
-    dz = normalize_rows_bwd(dcos @ wb, zb, znorms, zfull)
-    dweights = normalize_rows_bwd(dcos.T @ zb, wb, wnorms, wfull)
-    return loss, dz, dweights
+    z, weights, labels = _check_batch(z, weights, labels)
+    centers = normalize_rows_fwd(weights)
+    loss, dz, dcos, zb = _margin_core(z, centers, labels, params)
+    return loss, dz, normalize_rows_bwd(dcos.T @ zb, *centers)
 
 
 def kl_gaussian(mu, logvar):
@@ -116,15 +161,7 @@ def kl_gaussian(mu, logvar):
     Returns (loss, dmu, dlogvar).  Non-negative; zero exactly when mu = 0
     and s2 = 1; strictly decreasing in each sigma over (0, 1).
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.asarray(logvar, dtype=np.float64)
-    if mu.shape != logvar.shape:
-        raise ValueError(f"mu shape {mu.shape} != logvar shape {logvar.shape}")
-    sig2 = np.exp(logvar)
-    terms = -0.5 * (1.0 + logvar - mu * mu - sig2)
-    loss = float(np.mean(terms))
-    inv = 1.0 / terms.size
-    return loss, mu * inv, 0.5 * (sig2 - 1.0) * inv
+    return _kl_core(*_check_gaussian(mu, logvar))
 
 
 def uncertainty_loss(z, mu, logvar, classifier: Classifier, labels, params: MarginParams, lam: float):
@@ -143,13 +180,11 @@ def uncertainty_loss(z, mu, logvar, classifier: Classifier, labels, params: Marg
     mu = np.asarray(mu, dtype=np.float64)
     if z.shape != mu.shape:
         raise ValueError(f"z shape {z.shape} != mu shape {mu.shape}")
-    lmc, dz, dweights = margin_cosine_loss(z, classifier.weights, labels, params)
-    kl, dmu_kl, dlv_kl = kl_gaussian(mu, logvar)
-    loss = lmc + lam * kl
-    dmu = dz + lam * dmu_kl
-    # dz/dlogvar = eps * sigma / 2 = (z - mu) / 2 for the fixed eps draw.
-    dlogvar = 0.5 * (z - mu) * dz + lam * dlv_kl
-    return loss, dmu, dlogvar, dweights
+    z, weights, labels = _check_batch(z, classifier.weights, labels)
+    mu, logvar = _check_gaussian(mu, logvar)
+    centers = normalize_rows_fwd(weights)
+    loss, dmu, dlogvar, dcos, zb = _uncertainty_core(z, mu, logvar, centers, labels, params, lam)
+    return loss, dmu, dlogvar, normalize_rows_bwd(dcos.T @ zb, *centers)
 
 
 def transfer_loss(embeddings, classifier: Classifier, labels, params: MarginParams):
@@ -161,7 +196,8 @@ def transfer_loss(embeddings, classifier: Classifier, labels, params: MarginPara
     """
     if not classifier.frozen:
         raise ValueError("transfer_loss requires a frozen classifier")
-    loss, dembeddings, _ = margin_cosine_loss(embeddings, classifier.weights, labels, params)
+    z, weights, labels = _check_batch(embeddings, classifier.weights, labels)
+    loss, dembeddings, _, _ = _margin_core(z, normalize_rows_fwd(weights), labels, params)
     return loss, dembeddings, np.zeros_like(classifier.weights)
 
 

@@ -82,23 +82,6 @@ def mlp_backward(mlp: Mlp, cache, dout: np.ndarray):
 
 
 @dataclass
-class GaussianEmbedding:
-    """One sample's probabilistic embedding: mean vector and log variance."""
-
-    mu: np.ndarray
-    logvar: np.ndarray
-
-    def sigma(self) -> np.ndarray:
-        return np.exp(0.5 * self.logvar)
-
-    def sigma2(self) -> np.ndarray:
-        return np.exp(self.logvar)
-
-    def sample(self, eps: np.ndarray) -> np.ndarray:
-        return reparameterize(self.mu, self.logvar, eps)
-
-
-@dataclass
 class SketchModel:
     backbone: Mlp
     mu_head: Mlp
@@ -199,15 +182,6 @@ def sketch_backward(model: SketchModel, cache, dmu: np.ndarray, dlogvar: np.ndar
     return backbone_grads + mu_grads + lv_grads
 
 
-def encode_sketch(model: SketchModel, x: np.ndarray) -> GaussianEmbedding:
-    """Single feature vector -> GaussianEmbedding (deterministic)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"encode_sketch expects a feature vector, got shape {x.shape}")
-    mu, logvar, _ = encode_sketch_batch(model, x.reshape(1, -1))
-    return GaussianEmbedding(mu[0], logvar[0])
-
-
 def _canonical_view_order(views: np.ndarray) -> np.ndarray:
     """N x V view order of an N x V x D block: each shape's views in
     lexicographic row order, so pooling is bit-identical for any permutation
@@ -254,15 +228,6 @@ def shape_backward(model: ShapeModel, cache, df: np.ndarray):
     dviews = np.repeat(dpooled / v, v, axis=0)
     _, backbone_grads = mlp_backward(model.backbone, bcache, dviews)
     return backbone_grads + proj_grads
-
-
-def encode_shape(model: ShapeModel, views: np.ndarray) -> np.ndarray:
-    """V view-feature vectors -> one fused embedding."""
-    views = np.asarray(views, dtype=np.float64)
-    if views.ndim != 2 or views.shape[0] < 1:
-        raise ValueError(f"encode_shape expects a non-empty V x D_in view matrix, got shape {views.shape}")
-    f, _ = encode_shape_batch(model, views[None, :, :])
-    return f[0]
 
 
 def glorot_matrix(rng: Rng, rows: int, cols: int) -> np.ndarray:

@@ -35,17 +35,13 @@ def normalize_rows_fwd(m: np.ndarray, eps: float = NORM_EPS):
     Zero rows pass through unchanged (0 / eps).
     """
     m = np.asarray(m, dtype=np.float64)
-    scale = np.max(np.abs(m), axis=1, keepdims=True)
-    safe = np.where(scale > 0.0, scale, 1.0)
-    u = m / safe
-    unorm = np.sqrt(np.sum(u * u, axis=1, keepdims=True))
+    scale = np.maximum.reduce(np.abs(m), axis=1, keepdims=True)
+    u = m / np.where(scale > 0.0, scale, 1.0)
+    unorm = np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))
     norms = scale * unorm
     full = norms >= eps
-    out = np.empty_like(m)
-    big = full[:, 0]
-    out[big] = u[big] / unorm[big]
-    if not big.all():
-        out[~big] = m[~big] / eps
+    out = np.where(full, u, m)
+    out /= np.where(full, unorm, eps)
     return out, np.where(full, norms, eps), full
 
 
@@ -55,7 +51,7 @@ def normalize_rows_bwd(grad, out, norms, full):
     For full rows: d(x/||x||) = (g - (g.v) v) / ||x|| with v the normalised
     row; for eps-clipped rows the map is linear, so the gradient is g / eps.
     """
-    gv = np.sum(grad * out, axis=1, keepdims=True)
+    gv = np.add.reduce(grad * out, axis=1, keepdims=True)
     return (grad - np.where(full, gv, 0.0) * out) / norms
 
 

@@ -9,15 +9,20 @@ encoder against those frozen centers and never touches them.  Both stages
 run plain SGD (optional momentum) with an epoch-level cosine-annealed
 learning rate, shuffle with the run's own Rng, and keep the last partial
 batch, so a fixed seed reproduces the parameter trajectory bitwise.
+
+Each stage checks its records, labels and classifier once per run, then
+trains with steps that do arithmetic only: the private loss cores, with
+stage 2's frozen centers normalised once.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .losses import Classifier, MarginParams, transfer_loss, uncertainty_loss
+from .losses import Classifier, MarginParams, _margin_core, _uncertainty_core
 from .model import (
     _prepare_sketches,
     _prepare_views,
@@ -26,10 +31,10 @@ from .model import (
     init_classifier,
     init_shape_model,
     init_sketch_model,
-    reparameterize,
     shape_backward,
     sketch_backward,
 )
+from .ops import normalize_rows_bwd, normalize_rows_fwd
 from .rng import Rng
 
 
@@ -140,16 +145,29 @@ def cosine_lr(t: int, total: int, lr0: float) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * t / total))
 
 
-def sgd_step(params, grads, lr: float, momentum: float, velocity) -> None:
-    """v <- momentum * v + g;  p <- p - lr * v, all in place."""
+def sgd_step(params, grads, lr: float, momentum: float, velocity=None) -> None:
+    """v <- momentum * v + g;  p <- p - lr * v, all in place, with one
+    velocity buffer per parameter.
+
+    At momentum 0 ``velocity`` may be None, and the step is p <- p - lr * g
+    with no buffer to scale and add to.  The two agree bit for bit except on
+    a parameter equal to -0.0, which training never holds: initial values
+    are nonzero or +0.0, and subtraction from those never gives -0.0.
+    """
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
-    for p, g, v in zip(params, grads, velocity):
+    if velocity is None and momentum != 0.0:
+        raise ValueError(f"sgd_step needs a velocity buffer at momentum {momentum}")
+    for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape:
             raise ValueError(f"sgd_step shape mismatch: param {p.shape} vs grad {g.shape}")
-        v *= momentum
-        v += g
-        p -= lr * v
+        if velocity is None:
+            p -= lr * g
+        else:
+            v = velocity[i]
+            v *= momentum
+            v += g
+            p -= lr * v
 
 
 @dataclass
@@ -176,15 +194,18 @@ class TrainReport:
 
 def _fit(stage: str, cfg: TrainConfig, rng: Rng, n: int, params, step) -> TrainReport:
     """The SGD loop both stages share.  Per epoch: the cosine learning rate
-    and one rng.permutation of the n samples; per batch of indices:
-    ``step(batch) -> (loss, grads)`` with grads ordered like params, then
-    sgd_step.  Aborts with a diagnostic if the loss goes non-finite."""
-    velocity = [np.zeros_like(p) for p in params]
+    and one rng.permutation of the n samples, as an int64 array; per batch
+    of indices (an array slice): ``step(batch) -> (loss, grads)`` with grads
+    ordered like params, then sgd_step, with velocity buffers only when
+    cfg.momentum is nonzero.  The stages validate their inputs before
+    calling this, so ``step`` does arithmetic only.  Aborts with a
+    diagnostic if the loss goes non-finite."""
+    velocity = [np.zeros_like(p) for p in params] if cfg.momentum else None
     report = TrainReport(seed=cfg.seed)
     start_time = time.perf_counter()
     for epoch in range(cfg.max_epochs):
         lr = cosine_lr(epoch, cfg.max_epochs, cfg.lr0)
-        order = rng.permutation(n)
+        order = np.array(rng.permutation(n), dtype=np.int64)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
@@ -210,16 +231,27 @@ def _stack(records, cfg, what: str, layout: str):
     return x, np.array([r.label for r in records], dtype=np.int64)
 
 
+def _first(values, total: int, limit: int = 10) -> str:
+    """The first ``limit`` of ``total`` values, then "..." if there are
+    more, so an error message stays short however many values fail."""
+    shown = [str(v) for v in itertools.islice(values, limit)]
+    return "[" + ", ".join(shown + ["..."] * (total > limit)) + "]"
+
+
 def train_stage1(records, cfg: TrainConfig, rng: Rng):
     """Sketch uncertainty learning; returns (model, frozen classifier,
     report).  Aborts with a diagnostic if the loss goes non-finite."""
     if not records:
         raise ValueError("stage 1: empty training set")
     x, y = _stack(records, cfg, "sketch features", "N")
+    bad = sorted(set(y[(y < 0) | (y >= cfg.classes)].tolist()))
+    if bad:
+        raise ValueError(f"stage 1: sketch labels out of range [0, {cfg.classes}): {_first(bad, len(bad))}")
     present = set(y.tolist())
-    missing = [c for c in range(cfg.classes) if c not in present]
-    if missing:
-        raise ValueError(f"stage 1: classes without any training sketch: {missing}")
+    if len(present) < cfg.classes:
+        missing = (c for c in range(cfg.classes) if c not in present)
+        count = cfg.classes - len(present)
+        raise ValueError(f"stage 1: {count} classes without any training sketch: {_first(missing, count)}")
 
     model = init_sketch_model(cfg, rng)
     classifier = init_classifier(cfg, rng)
@@ -228,8 +260,11 @@ def train_stage1(records, cfg: TrainConfig, rng: Rng):
 
     def step(batch):
         mu, logvar, cache = _sketch_forward(model, xn[batch])
-        z = reparameterize(mu, logvar, rng.normal_matrix(len(batch), cfg.embed_dim))
-        loss, dmu, dlogvar, dw = uncertainty_loss(z, mu, logvar, classifier, y[batch], margins, cfg.lam)
+        # model.reparameterize without its per-call checks: same expression.
+        z = mu + rng.normal_matrix(len(batch), cfg.embed_dim) * np.exp(0.5 * logvar)
+        centers = normalize_rows_fwd(classifier.weights)
+        loss, dmu, dlogvar, dcos, zb = _uncertainty_core(z, mu, logvar, centers, y[batch], margins, cfg.lam)
+        dw = normalize_rows_bwd(dcos.T @ zb, *centers)
         return loss, sketch_backward(model, cache, dmu, dlogvar) + [dw]
 
     report = _fit("stage 1", cfg, rng, len(records), model.parameters() + [classifier.weights], step)
@@ -243,19 +278,27 @@ def train_stage2(records, classifier: Classifier, cfg: TrainConfig, rng: Rng):
         raise ValueError("stage 2: empty training set")
     if not classifier.frozen:
         raise ValueError("stage 2 requires a frozen classifier from stage 1")
+    if classifier.weights.shape[1] != cfg.embed_dim:
+        raise ValueError(f"stage 2: embedding dim {cfg.embed_dim} != class-center dim {classifier.weights.shape[1]}")
     x, y = _stack(records, cfg, "shape view features", "NV")
-    extra = sorted(set(y.tolist()) - set(range(classifier.num_classes)))
+    extra = sorted(set(y[(y < 0) | (y >= classifier.num_classes)].tolist()))
     if extra:
-        raise ValueError(f"stage 2: shape labels {extra} missing from the {classifier.num_classes} sketch classes")
+        raise ValueError(
+            f"stage 2: shape labels {_first(extra, len(extra))} missing from the "
+            f"{classifier.num_classes} sketch classes"
+        )
 
     weights_before = classifier.weights.copy()
     model = init_shape_model(cfg, rng)
     margins = cfg.shape_margins()
     views = _prepare_views(x)
+    # transfer_loss's arithmetic: the frozen centers are normalised once, and
+    # the classifier gradient it would discard is never formed.
+    centers = normalize_rows_fwd(classifier.weights)
 
     def step(batch):
         f, cache = _shape_forward(model, views[batch])
-        loss, df, _ = transfer_loss(f, classifier, y[batch], margins)
+        loss, df, _, _ = _margin_core(f, centers, y[batch], margins)
         return loss, shape_backward(model, cache, df)
 
     report = _fit("stage 2", cfg, rng, len(records), model.parameters(), step)

@@ -10,7 +10,7 @@ from sketchshape import data as data_mod
 from sketchshape import model as model_mod
 from sketchshape.cli import main
 from sketchshape.data import load_dataset, load_embeddings
-from sketchshape.model import encode_sketch, load_sketch_checkpoint
+from sketchshape.model import encode_sketch_batch, load_sketch_checkpoint
 
 
 DESK_CONFIG = "\n".join(
@@ -273,9 +273,9 @@ class TestPipeline:
         records = ds.sketches("test")
         ids, _, _, _, matrix = load_embeddings(pipeline["queries"])
         assert ids == [r.sample_id for r in records]
-        emb = encode_sketch(model, records[0].features)
+        mu, _, _ = encode_sketch_batch(model, records[0].features[None, :])
         # batched and single-row matmuls may differ in the last ulp
-        np.testing.assert_allclose(matrix[0], emb.mu, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(matrix[0], mu[0], rtol=0, atol=1e-12)
 
     def test_embed_deterministic_byte_identical(self, pipeline, tmp_path):
         out1 = tmp_path / "e1.csv"

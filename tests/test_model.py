@@ -11,11 +11,8 @@ from sketchshape.gradcheck import check_shape_chain, check_sketch_chain
 from sketchshape.losses import Classifier
 from sketchshape.model import (
     _canonical_view_order,
-    GaussianEmbedding,
     Mlp,
-    encode_shape,
     encode_shape_batch,
-    encode_sketch,
     encode_sketch_batch,
     init_classifier,
     init_mlp,
@@ -39,6 +36,18 @@ def _tiny_cfg(**overrides):
     base = dict(feature_dim=5, hidden=(7, 6), embed_dim=4, classes=3, views=3, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def _encode_one_sketch(model, x):
+    """(mu, logvar) of one feature vector, through a one-row batch."""
+    mu, logvar, _ = encode_sketch_batch(model, np.asarray(x)[None, :])
+    return mu[0], logvar[0]
+
+
+def _encode_one_shape(model, views):
+    """The embedding of one V x D_in view matrix, through a one-shape batch."""
+    f, _ = encode_shape_batch(model, np.asarray(views)[None, :, :])
+    return f[0]
 
 
 class TestMlpForward:
@@ -66,24 +75,24 @@ class TestEncodeSketch:
         model_zero.backbone = mlp
         model_zero.mu_head = head
         model_zero.logvar_head = Mlp([(np.zeros((4, 6)), np.zeros(4))])
-        emb = encode_sketch(model_zero, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-        np.testing.assert_array_equal(emb.mu, np.zeros(4))
-        np.testing.assert_array_equal(emb.logvar, np.zeros(4))
-        np.testing.assert_array_equal(emb.sigma(), np.ones(4))
+        mu, logvar = _encode_one_sketch(model_zero, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        np.testing.assert_array_equal(mu, np.zeros(4))
+        np.testing.assert_array_equal(logvar, np.zeros(4))
+        np.testing.assert_array_equal(np.exp(0.5 * logvar), np.ones(4))
 
     def test_deterministic(self):
         model = init_sketch_model(_tiny_cfg(), Rng(3))
         x = Rng(4).uniform_matrix(1, 5, -1.0, 1.0)[0]
-        a = encode_sketch(model, x)
-        b = encode_sketch(model, x)
-        np.testing.assert_array_equal(a.mu, b.mu)
-        np.testing.assert_array_equal(a.logvar, b.logvar)
+        a_mu, a_logvar = _encode_one_sketch(model, x)
+        b_mu, b_logvar = _encode_one_sketch(model, x)
+        np.testing.assert_array_equal(a_mu, b_mu)
+        np.testing.assert_array_equal(a_logvar, b_logvar)
 
     def test_matches_forward_oracle(self):
         rng = Rng(22)
         model = init_sketch_model(_tiny_cfg(), rng)
         x = rng.uniform_matrix(1, 5, -2.0, 2.0)[0]
-        emb = encode_sketch(model, x)
+        mu, logvar = _encode_one_sketch(model, x)
         # the encoder L2-normalises its input row before the backbone
         xn = (x / math.sqrt(math.fsum(v * v for v in x))).tolist()
         layers = [(w.tolist(), b.tolist()) for w, b in model.backbone.layers]
@@ -95,8 +104,8 @@ class TestEncodeSketch:
         norm = math.sqrt(math.fsum(v * v for v in raw_mu))
         want_mu = [v / norm for v in raw_mu]
         want_lv = [v - 2.0 * math.log(norm) for v in mlp_forward_bruteforce(lv_layers, h)]
-        np.testing.assert_allclose(emb.mu, want_mu, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(emb.logvar, want_lv, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(mu, want_mu, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(logvar, want_lv, rtol=1e-10, atol=1e-12)
 
     def test_finite_outputs(self):
         model = init_sketch_model(_tiny_cfg(), Rng(5))
@@ -124,10 +133,10 @@ class TestReparameterize:
         )
         np.testing.assert_allclose(z, [3.0, -1.0], rtol=1e-15)
 
-    def test_gaussian_embedding_sample(self):
-        emb = GaussianEmbedding(np.array([1.0, 2.0]), np.zeros(2))
-        np.testing.assert_array_equal(emb.sample(np.zeros(2)), emb.mu)
-        np.testing.assert_allclose(emb.sigma2(), np.ones(2))
+    def test_one_row_sample(self):
+        mu, logvar = np.array([[1.0, 2.0]]), np.zeros((1, 2))
+        np.testing.assert_array_equal(reparameterize(mu, logvar, np.zeros((1, 2))), mu)
+        np.testing.assert_allclose(np.exp(logvar), np.ones((1, 2)))
 
     def test_empirical_variance_matches_sigma2(self):
         # variance of z over many draws tracks sigma^2 within 5% per dim
@@ -196,22 +205,22 @@ class TestEncodeShape:
         model = init_shape_model(_tiny_cfg(), Rng(26))
         view = Rng(27).uniform_matrix(1, 5, -1.0, 1.0)
         stacked = np.repeat(view, 6, axis=0)
-        np.testing.assert_allclose(encode_shape(model, stacked), encode_shape(model, view), rtol=1e-12)
+        np.testing.assert_allclose(_encode_one_shape(model, stacked), _encode_one_shape(model, view), rtol=1e-12)
 
     def test_permutation_invariance_bitwise(self):
         model = init_shape_model(_tiny_cfg(), Rng(28))
         views = Rng(29).uniform_matrix(12, 5, -1.0, 1.0)
-        base = encode_shape(model, views)
+        base = _encode_one_shape(model, views)
         perm_rng = Rng(30)
         for _ in range(5):
             perm = perm_rng.permutation(12)
-            np.testing.assert_array_equal(encode_shape(model, views[perm]), base)
+            np.testing.assert_array_equal(_encode_one_shape(model, views[perm]), base)
 
     def test_matches_forward_oracle(self):
         rng = Rng(31)
         model = init_shape_model(_tiny_cfg(), rng)
         views = rng.uniform_matrix(12, 5, -2.0, 2.0)
-        got = encode_shape(model, views)
+        got = _encode_one_shape(model, views)
         layers = [(w.tolist(), b.tolist()) for w, b in model.backbone.layers]
         normed = [
             (np.asarray(v) / math.sqrt(math.fsum(x * x for x in v))).tolist() for v in views.tolist()
@@ -224,15 +233,15 @@ class TestEncodeShape:
 
     def test_empty_views_rejected(self):
         model = init_shape_model(_tiny_cfg(), Rng(0))
-        with pytest.raises(ValueError, match="non-empty"):
-            encode_shape(model, np.zeros((0, 5)))
+        with pytest.raises(ValueError, match="at least one view"):
+            _encode_one_shape(model, np.zeros((0, 5)))
 
     def test_batch_matches_single(self):
         model = init_shape_model(_tiny_cfg(), Rng(32))
         views = Rng(33).uniform_matrix(9, 5, -1.0, 1.0).reshape(3, 3, 5)
         batch, _ = encode_shape_batch(model, views)
         for i in range(3):
-            np.testing.assert_allclose(batch[i], encode_shape(model, views[i]), atol=1e-14)
+            np.testing.assert_allclose(batch[i], _encode_one_shape(model, views[i]), atol=1e-14)
 
 
     def test_canonical_order_matches_per_shape_lexsort(self):

@@ -55,6 +55,63 @@ class TestNormalizeRows:
         assert ops.grad_check(f, [m]) < 1e-4
 
 
+def _masked_normalize_rows(m, eps=ops.NORM_EPS):
+    """normalize_rows_fwd as first written: full rows and eps-clipped rows
+    filled in through boolean masks."""
+    scale = np.max(np.abs(m), axis=1, keepdims=True)
+    safe = np.where(scale > 0.0, scale, 1.0)
+    u = m / safe
+    unorm = np.sqrt(np.sum(u * u, axis=1, keepdims=True))
+    norms = scale * unorm
+    full = norms >= eps
+    out = np.empty_like(m)
+    big = full[:, 0]
+    out[big] = u[big] / unorm[big]
+    if not big.all():
+        out[~big] = m[~big] / eps
+    return out, np.where(full, norms, eps), full
+
+
+class TestNormalizeRowsBytes:
+    """normalize_rows_fwd returns the masked formula's three arrays byte for
+    byte, signed zeros included, on full, clipped and zero rows."""
+
+    def _rows(self):
+        rng = Rng(8)
+        return np.array(
+            [
+                [0.0, 0.0, 0.0, 0.0],
+                [-0.0, 0.0, -0.0, 0.0],
+                1e-300 * rng.uniform_matrix(1, 4, -1.0, 1.0)[0],
+                [1e-300, -1e-300, 0.0, 5e-324],
+                [1e300, -1e300, 1e300, -1e300],
+                [1e300, 0.0, -0.0, 1.0],
+                [-1e300, -1e300, -1e300, -1e300],
+                [1e-12, 0.0, 0.0, 0.0],
+                [9e-13, 0.0, -0.0, 0.0],
+                [3.0, -4.0, 0.0, -0.0],
+                *rng.uniform_matrix(3, 4, -2.0, 2.0),
+            ]
+        )
+
+    def _assert_same_bytes(self, m):
+        got = ops.normalize_rows_fwd(m)
+        want = _masked_normalize_rows(m)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_mixed_matrix(self):
+        m = self._rows()
+        full = _masked_normalize_rows(m)[2][:, 0]
+        assert full.any() and not full.all()
+        self._assert_same_bytes(m)
+
+    @pytest.mark.parametrize("rows", [[0], [0, 1, 2, 3, 8], [4, 5, 6], [9, 10, 11, 12], [12, 3, 4, 0]])
+    def test_row_subsets(self, rows):
+        self._assert_same_bytes(self._rows()[rows])
+
+
 class TestCosineMatrix:
     def test_self_similarity_is_one(self):
         v = Rng(5).uniform_matrix(1, 6, -1.0, 1.0)

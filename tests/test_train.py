@@ -7,8 +7,17 @@ import numpy as np
 import pytest
 
 from sketchshape.data import generate
-from sketchshape.losses import Classifier, center_accuracy
-from sketchshape.model import encode_shape_batch, encode_sketch_batch
+from sketchshape.losses import Classifier, center_accuracy, transfer_loss, uncertainty_loss
+from sketchshape.model import (
+    encode_shape_batch,
+    encode_sketch_batch,
+    init_classifier,
+    init_shape_model,
+    init_sketch_model,
+    reparameterize,
+    shape_backward,
+    sketch_backward,
+)
 from sketchshape.rng import Rng
 from sketchshape.train import (
     TrainConfig,
@@ -100,6 +109,29 @@ class TestSgdStep:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             sgd_step([np.zeros((2, 2))], [np.zeros((2, 3))], 0.1, 0.0, [np.zeros((2, 2))])
+
+    def test_shape_mismatch_without_velocity(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sgd_step([np.zeros((2, 2))], [np.zeros((2, 3))], 0.1, 0.0)
+
+    def test_momentum_needs_velocity(self):
+        with pytest.raises(ValueError, match="velocity buffer"):
+            sgd_step([np.zeros((1, 1))], [np.ones((1, 1))], 0.1, 0.9, None)
+
+    def test_no_buffer_at_momentum_zero_matches_buffer_bitwise(self):
+        # gradients with signed zeros, steps with lr 0; parameters start
+        # nonzero or +0.0, as every initialiser draws them
+        rng = Rng(15)
+        p_buf = rng.uniform_matrix(4, 5, -1.0, 1.0)
+        p_buf[0] = 0.0
+        p_free = p_buf.copy()
+        velocity = [np.zeros_like(p_buf)]
+        for lr in (0.1, 0.0, 0.05, 0.2):
+            g = np.floor(rng.uniform_matrix(4, 5, -2.0, 2.0))
+            g[:, ::2] = -g[:, ::2]  # turns the zeros of every other column into -0.0
+            sgd_step([p_buf], [g], lr, 0.0, velocity)
+            sgd_step([p_free], [g], lr, 0.0)
+            assert p_buf.tobytes() == p_free.tobytes()
 
 
 class TestTrainConfig:
@@ -235,6 +267,23 @@ class TestStage1:
         with pytest.raises(ValueError, match="classes without any training sketch"):
             train_stage1(records, easy_cfg(), Rng(0))
 
+    def test_missing_classes_message_stays_short(self):
+        records = easy_dataset(4).sketches("train")
+        with pytest.raises(ValueError) as err:
+            train_stage1(records, easy_cfg(classes=200000), Rng(0))
+        message = str(err.value)
+        assert len(message.encode()) < 1024
+        assert "199997 classes without any training sketch: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ...]" in message
+
+    @pytest.mark.parametrize("bad", [[3], [-1], [7, -2, 3, 7]])
+    def test_label_out_of_range_rejected_before_training(self, bad):
+        records = easy_dataset(4).sketches("train")
+        for record, label in zip(records, bad):
+            record.label = label
+        named = ", ".join(str(v) for v in sorted(set(bad)))
+        with pytest.raises(ValueError, match=rf"sketch labels out of range \[0, 3\): \[{named}\]$"):
+            train_stage1(records, easy_cfg(), Rng(0))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):
         ds = easy_dataset(5)
@@ -262,6 +311,11 @@ class TestStage2:
         thawed = Classifier(classifier.weights.copy(), frozen=False)
         with pytest.raises(ValueError, match="frozen"):
             train_stage2(ds.shapes("train"), thawed, cfg, Rng(0))
+
+    def test_classifier_of_another_embed_dim_rejected(self):
+        ds, cfg, _, classifier = self._stage1()
+        with pytest.raises(ValueError, match="embedding dim 5 != class-center dim 8"):
+            train_stage2(ds.shapes("train"), classifier, replace(cfg, embed_dim=5), Rng(0))
 
     def test_label_outside_classifier_rejected(self):
         ds, cfg, _, classifier = self._stage1()
@@ -301,3 +355,100 @@ class TestStage2:
         emb, _ = encode_shape_batch(model, np.stack([r.features for r in records]))
         acc = center_accuracy(emb, classifier, [r.label for r in records])
         assert acc >= 0.99
+
+
+
+def _reference_fit(cfg, rng, n, params, step):
+    """The SGD loop step by step: one permutation per epoch, sgd_step with
+    a velocity buffer at every momentum, epoch mean of the batch losses."""
+    velocity = [np.zeros_like(p) for p in params]
+    losses = []
+    for epoch in range(cfg.max_epochs):
+        lr = cosine_lr(epoch, cfg.max_epochs, cfg.lr0)
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            loss, grads = step(batch)
+            sgd_step(params, grads, lr, cfg.momentum, velocity)
+            total += loss * len(batch)
+        losses.append(total / n)
+    return losses
+
+
+def reference_stage1(records, cfg, rng):
+    """train_stage1 built from the public checked functions alone."""
+    x = np.stack([r.features for r in records])
+    y = np.array([r.label for r in records])
+    model = init_sketch_model(cfg, rng)
+    classifier = init_classifier(cfg, rng)
+
+    def step(batch):
+        mu, logvar, cache = encode_sketch_batch(model, x[batch])
+        z = reparameterize(mu, logvar, rng.normal_matrix(len(batch), cfg.embed_dim))
+        loss, dmu, dlogvar, dw = uncertainty_loss(z, mu, logvar, classifier, y[batch], cfg.sketch_margins(), cfg.lam)
+        return loss, sketch_backward(model, cache, dmu, dlogvar) + [dw]
+
+    losses = _reference_fit(cfg, rng, len(records), model.parameters() + [classifier.weights], step)
+    return model, classifier.freeze(), losses
+
+
+def reference_stage2(records, classifier, cfg, rng):
+    """train_stage2 built from the public checked functions alone."""
+    x = np.stack([r.features for r in records])
+    y = np.array([r.label for r in records])
+    model = init_shape_model(cfg, rng)
+
+    def step(batch):
+        f, cache = encode_shape_batch(model, x[batch])
+        loss, df, _ = transfer_loss(f, classifier, y[batch], cfg.shape_margins())
+        return loss, shape_backward(model, cache, df)
+
+    return model, _reference_fit(cfg, rng, len(records), model.parameters(), step)
+
+
+DESK = dict(hidden=(64, 64), embed_dim=32, batch_size=8, lr0=0.08, max_epochs=60)
+
+
+def _bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+class TestSameBitsAsReference:
+    """Both stages give the parameters and reported losses of a per-step
+    loop of the public checked functions, byte for byte (signed zeros
+    count), so validating once per run and the private loss cores change
+    no bit."""
+
+    @pytest.mark.parametrize(
+        "name, data, overrides",
+        [
+            ("desk", dict(classes=10, train_per_class=4, dim=16, views=12), DESK),
+            ("batch_not_dividing_n", {}, dict(batch_size=16)),
+            ("odd_batch_odd_embed_dim", {}, dict(batch_size=7, embed_dim=5)),
+            ("momentum", {}, dict(momentum=0.9)),
+            ("no_kl", {}, dict(lam=0.0)),
+            ("head_hidden", {}, dict(head_hidden=(6,))),
+        ],
+    )
+    def test_both_stages(self, name, data, overrides):
+        shape = {**EASY, "test_per_class": 1, **data}
+        ds = generate(shape["classes"], shape["train_per_class"], 1, shape["dim"], shape["views"], 0.25,
+                      "ambiguous", Rng(21), seed=21)
+        base = dict(feature_dim=shape["dim"], classes=shape["classes"], views=shape["views"], max_epochs=4)
+        cfg = easy_cfg(**{**base, **overrides})
+        sketches, shapes = ds.sketches("train"), ds.shapes("train")
+        if name in ("batch_not_dividing_n", "odd_batch_odd_embed_dim"):
+            assert len(sketches) % cfg.batch_size  # a short last batch
+
+        model, classifier, report = train_stage1(sketches, cfg, Rng(22))
+        ref_model, ref_classifier, ref_losses = reference_stage1(sketches, cfg, Rng(22))
+        assert _bits(model.parameters() + [classifier.weights]) == _bits(
+            ref_model.parameters() + [ref_classifier.weights]
+        )
+        assert np.array(report.losses).tobytes() == np.array(ref_losses).tobytes()
+
+        shape_model, shape_report = train_stage2(shapes, classifier, cfg, Rng(23))
+        ref_shape_model, ref_shape_losses = reference_stage2(shapes, ref_classifier, cfg, Rng(23))
+        assert _bits(shape_model.parameters()) == _bits(ref_shape_model.parameters())
+        assert np.array(shape_report.losses).tobytes() == np.array(ref_shape_losses).tobytes()
