@@ -135,10 +135,10 @@ def cmd_embed(args) -> int:
 def cmd_eval(args) -> int:
     print(f"[eval] queries = {args.queries}, gallery = {args.gallery}")
     qids, qlabels, _, _, queries = data_mod.load_embeddings(args.queries)
-    gids, glabels, _, _, gallery = data_mod.load_embeddings(args.gallery)
+    _, glabels, _, _, gallery = data_mod.load_embeddings(args.gallery)
     if queries.shape[1] != gallery.shape[1]:
         raise ValueError(f"query dim {queries.shape[1]} != gallery dim {gallery.shape[1]}")
-    report = metrics_mod.evaluate(queries, gallery, qlabels, glabels, qids, gids)
+    report = metrics_mod.evaluate(queries, gallery, qlabels, glabels, qids)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics_mod.write_metric_report(report, out / "metrics.txt")
@@ -261,3 +261,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -4,26 +4,28 @@ Each check builds a small random instance, wraps the loss as a function of
 its trainable arrays, and compares the closed-form gradients against central
 differences via ops.grad_check.  Returns the worst relative error per check;
 anything at or above TOLERANCE means a backward pass is wrong.
+
+The two chain checks call the training objectives themselves,
+``train._sketch_objective`` and ``train._shape_objective``, so the
+gradients verified here are the ones training runs with.
 """
 
 import numpy as np
 
 from .losses import Classifier, MarginParams, kl_gaussian, margin_cosine_loss, transfer_loss, uncertainty_loss
 from .model import (
-    encode_shape_batch,
-    encode_sketch_batch,
+    _prepare_sketches,
+    _prepare_views,
     init_classifier,
     init_shape_model,
     init_sketch_model,
     reparameterize,
-    shape_backward,
-    sketch_backward,
     unit_scale_backward,
     unit_scale_forward,
 )
-from .ops import grad_check
+from .ops import grad_check, normalize_rows_fwd
 from .rng import Rng
-from .train import TrainConfig
+from .train import TrainConfig, _shape_objective, _sketch_objective
 
 TOLERANCE = 1e-4
 
@@ -101,41 +103,37 @@ def check_transfer_loss(seed: int, n: int = 6, dim: int = 12, classes: int = 5, 
 
 
 def check_sketch_chain(seed: int, n: int = 5, step: float = 1e-5) -> float:
-    """Full stage-1 objective through the sketch encoder parameters,
-    including the unit-scale rescaling of the heads' Gaussian."""
+    """The stage-1 training objective through the sketch encoder parameters
+    and the class centers, including the unit-scale rescaling of the heads'
+    Gaussian."""
     cfg = TrainConfig(feature_dim=6, hidden=(8,), embed_dim=8, classes=4, lam=CHECK_LAM, seed=seed)
     rng = Rng(seed)
     model = init_sketch_model(cfg, rng)
-    classifier = init_classifier(cfg, rng)
-    x = _rand(rng, n, cfg.feature_dim)
+    weights = init_classifier(cfg, rng).weights
+    xn = _prepare_sketches(_rand(rng, n, cfg.feature_dim))
     labels = np.array([rng.integer(cfg.classes) for _ in range(n)])
     eps = rng.normal_matrix(n, cfg.embed_dim)
     margins = cfg.sketch_margins()
-    params = model.parameters() + [classifier.weights]
 
     def f(_ps):
-        mu, logvar, cache = encode_sketch_batch(model, x)
-        z = reparameterize(mu, logvar, eps)
-        loss, dmu, dlv, dw = uncertainty_loss(z, mu, logvar, classifier, labels, margins, cfg.lam)
-        return loss, sketch_backward(model, cache, dmu, dlv) + [dw]
+        return _sketch_objective(model, weights, xn, labels, eps, margins, cfg.lam)
 
-    return grad_check(f, params, step)
+    return grad_check(f, model.parameters() + [weights], step)
 
 
 def check_shape_chain(seed: int, n: int = 4, views: int = 3, step: float = 1e-5) -> float:
-    """Stage-2 objective through the shape encoder parameters."""
+    """The stage-2 training objective through the shape encoder parameters."""
     cfg = TrainConfig(feature_dim=6, hidden=(8,), embed_dim=8, classes=4, seed=seed)
     rng = Rng(seed)
     model = init_shape_model(cfg, rng)
-    classifier = Classifier(_rand(rng, cfg.classes, cfg.embed_dim), frozen=True)
-    x = rng.uniform_matrix(n * views, cfg.feature_dim, -2.0, 2.0).reshape(n, views, cfg.feature_dim)
+    centers = normalize_rows_fwd(_rand(rng, cfg.classes, cfg.embed_dim))
+    x = rng.uniform_matrix(n * views, cfg.feature_dim, -2.0, 2.0)
+    prepared = _prepare_views(x.reshape(n, views, cfg.feature_dim))
     labels = np.array([rng.integer(cfg.classes) for _ in range(n)])
     margins = cfg.shape_margins()
 
     def f(_ps):
-        f_emb, cache = encode_shape_batch(model, x)
-        loss, dfe, _ = transfer_loss(f_emb, classifier, labels, margins)
-        return loss, shape_backward(model, cache, dfe)
+        return _shape_objective(model, centers, prepared, labels, margins)
 
     return grad_check(f, model.parameters(), step)
 

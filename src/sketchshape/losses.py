@@ -20,8 +20,8 @@ constant and the term acts on the variance alone.
 The public functions check their arguments and call the private cores
 (``_margin_core``, ``_kl_core``, ``_uncertainty_core``), which do the
 arithmetic alone.  The trainer validates once per run and calls the cores
-on every step, so the gradients it trains with are the ones the
-finite-difference checks verify through the public functions.
+on every step from its stage objectives, which the finite-difference
+chain checks in ``gradcheck`` call too.
 """
 
 from dataclasses import dataclass

@@ -261,18 +261,10 @@ def dcg(r: RankedList) -> float:
     return query_metrics(r).dcg
 
 
-def evaluate(
-    queries,
-    gallery,
-    query_labels,
-    gallery_labels,
-    query_ids=None,
-    gallery_ids=None,
-) -> MetricReport:
+def evaluate(queries, gallery, query_labels, gallery_labels, query_ids=None) -> MetricReport:
     """Rank every query and average the six metrics over queries that have
     at least one relevant gallery item; also builds the averaged 11-point
-    interpolated precision-recall curve.  ``gallery_ids`` is accepted for
-    symmetry with ``rank``; no metric depends on it."""
+    interpolated precision-recall curve."""
     query_ids = _ids(query_ids, len(queries))
     discounts = _discounts(len(gallery))
     per_query = []

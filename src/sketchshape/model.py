@@ -11,8 +11,11 @@ length of the mean.
 
 Forward passes return caches consumed by the matching ``*_backward``
 functions; parameters are plain float64 arrays updated in place by the
-trainer.  Checkpoints are a line-oriented text format (magic string, one
-shape header per matrix, repr-encoded rows) that round-trips bitwise.
+trainer.  The public ``encode_*_batch`` functions check that their outputs
+are finite; the private ``_sketch_forward`` and ``_shape_forward``, which
+training runs on every step, do arithmetic only.  Checkpoints are a
+line-oriented text format (magic string, one shape header per matrix,
+repr-encoded rows) that round-trips bitwise.
 """
 
 import math
@@ -87,10 +90,6 @@ class SketchModel:
     mu_head: Mlp
     logvar_head: Mlp
 
-    @property
-    def embed_dim(self) -> int:
-        return self.mu_head.output_dim
-
     def parameters(self) -> list:
         return self.backbone.parameters() + self.mu_head.parameters() + self.logvar_head.parameters()
 
@@ -99,10 +98,6 @@ class SketchModel:
 class ShapeModel:
     backbone: Mlp
     proj: Mlp
-
-    @property
-    def embed_dim(self) -> int:
-        return self.proj.output_dim
 
     def parameters(self) -> list:
         return self.backbone.parameters() + self.proj.parameters()
@@ -155,8 +150,6 @@ def _sketch_forward(model: SketchModel, xn: np.ndarray):
     raw_mu, mcache = mlp_forward(model.mu_head, h)
     raw_logvar, vcache = mlp_forward(model.logvar_head, h)
     mu, logvar, ucache = unit_scale_forward(raw_mu, raw_logvar)
-    require_finite(mu, "sketch mu")
-    require_finite(logvar, "sketch logvar")
     return mu, logvar, (bcache, mcache, vcache, ucache)
 
 
@@ -167,8 +160,10 @@ def encode_sketch_batch(model: SketchModel, x: np.ndarray):
     Input rows are L2-normalised before the backbone: downstream losses and
     retrieval are cosine-based, so feature magnitude carries no class signal
     and letting it through only couples the learned variance to input scale.
+    A non-finite mu or logvar raises ValueError.
     """
-    return _sketch_forward(model, _prepare_sketches(x))
+    mu, logvar, cache = _sketch_forward(model, _prepare_sketches(x))
+    return require_finite(mu, "sketch mu"), require_finite(logvar, "sketch logvar"), cache
 
 
 def sketch_backward(model: SketchModel, cache, dmu: np.ndarray, dlogvar: np.ndarray):
@@ -203,7 +198,6 @@ def _shape_forward(model: ShapeModel, prepared: np.ndarray):
     h, bcache = mlp_forward(model.backbone, prepared.reshape(n * v, d))
     pooled = h.reshape(n, v, -1).mean(axis=1)
     f, pcache = mlp_forward(model.proj, pooled)
-    require_finite(f, "shape embedding")
     return f, (bcache, pcache, n, v)
 
 
@@ -211,13 +205,15 @@ def encode_shape_batch(model: ShapeModel, views: np.ndarray):
     """Returns (embeddings, cache) for an N x V x D_in block of view features.
 
     Per-view features are mean-pooled per sample with the views visited in
-    a canonical (lexicographically sorted) order, then projected.
+    a canonical (lexicographically sorted) order, then projected.  A
+    non-finite embedding raises ValueError.
     """
     if views.ndim != 3:
         raise ValueError(f"expected N x V x D_in views, got shape {views.shape}")
     if views.shape[1] < 1:
         raise ValueError("each shape needs at least one view")
-    return _shape_forward(model, _prepare_views(views))
+    f, cache = _shape_forward(model, _prepare_views(views))
+    return require_finite(f, "shape embedding"), cache
 
 
 def shape_backward(model: ShapeModel, cache, df: np.ndarray):

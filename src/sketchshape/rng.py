@@ -55,22 +55,15 @@ class Rng:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         return z ^ (z >> np.uint64(31))
 
-    def uniform(self) -> float:
-        """One double in [0, 1): the top 53 bits of a raw output / 2^53."""
-        return (self.next_u64() >> 11) * _INV53
-
     def uniform_block(self, n: int) -> np.ndarray:
-        """n uniforms in [0, 1), consuming n raw outputs."""
+        """n uniforms in [0, 1), consuming n raw outputs: the top 53 bits of
+        each, divided by 2^53."""
         return (self._raw_block(n) >> np.uint64(11)).astype(np.float64) * _INV53
 
     def uniform_matrix(self, rows: int, cols: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """Row-major (rows x cols) matrix of low + (high - low) * uniform."""
         u = self.uniform_block(rows * cols).reshape(rows, cols)
         return low + (high - low) * u
-
-    def normal(self) -> float:
-        """One standard-normal draw; consumes one uniform pair."""
-        return float(self.normal_matrix(1, 1)[0, 0])
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Row-major (rows x cols) matrix of standard normals via Box-Muller.

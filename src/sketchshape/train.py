@@ -10,9 +10,13 @@ run plain SGD (optional momentum) with an epoch-level cosine-annealed
 learning rate, shuffle with the run's own Rng, and keep the last partial
 batch, so a fixed seed reproduces the parameter trajectory bitwise.
 
-Each stage checks its records, labels and classifier once per run, then
-trains with steps that do arithmetic only: the private loss cores, with
-stage 2's frozen centers normalised once.
+Each stage's objective is composed once, in ``_sketch_objective`` and
+``_shape_objective``: loss and gradients from prepared encoder inputs.  The
+training steps call them, and ``gradcheck``'s chain checks verify the same
+functions against finite differences.  Each stage checks its features,
+labels and classifier once per run, then trains with steps that do
+arithmetic only, with stage 2's frozen centers normalised once; a run that
+diverges stops at ``_fit``'s non-finite-loss abort.
 """
 
 import itertools
@@ -34,7 +38,7 @@ from .model import (
     shape_backward,
     sketch_backward,
 )
-from .ops import normalize_rows_bwd, normalize_rows_fwd
+from .ops import normalize_rows_bwd, normalize_rows_fwd, require_finite
 from .rng import Rng
 
 
@@ -97,10 +101,7 @@ def _parse_field(name, kind, raw):
     raise ValueError(f"config key {name} has unsupported type {kind}")
 
 
-_FIELD_TYPES = {"hidden": tuple, "head_hidden": tuple}
-for _f in fields(TrainConfig):
-    if _f.name not in _FIELD_TYPES:
-        _FIELD_TYPES[_f.name] = type(_f.default)
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 def load_config(path, base: TrainConfig = None) -> TrainConfig:
@@ -224,11 +225,11 @@ def _fit(stage: str, cfg: TrainConfig, rng: Rng, n: int, params, step) -> TrainR
 
 def _stack(records, cfg, what: str, layout: str):
     """(features, labels): the features stacked with one axis per letter of
-    ``layout`` ("N" or "NV") plus a feature_dim axis."""
+    ``layout`` ("N" or "NV") plus a feature_dim axis, all finite."""
     x = np.stack([np.asarray(r.features, dtype=np.float64) for r in records])
     if x.ndim != len(layout) + 1 or x.shape[-1] != cfg.feature_dim:
         raise ValueError(f"{what} have shape {x.shape}, expected {'x'.join(layout)}x{cfg.feature_dim}")
-    return x, np.array([r.label for r in records], dtype=np.int64)
+    return require_finite(x, what), np.array([r.label for r in records], dtype=np.int64)
 
 
 def _first(values, total: int, limit: int = 10) -> str:
@@ -236,6 +237,28 @@ def _first(values, total: int, limit: int = 10) -> str:
     more, so an error message stays short however many values fail."""
     shown = [str(v) for v in itertools.islice(values, limit)]
     return "[" + ", ".join(shown + ["..."] * (total > limit)) + "]"
+
+
+def _sketch_objective(model, weights, xn, labels, eps, margins: MarginParams, lam: float):
+    """Stage-1 loss and gradients, ordered like model.parameters() plus the
+    class-center weights: the unit-scale Gaussian of rows through
+    _prepare_sketches, sampled with noise ``eps``, scored by the margin loss
+    plus lam * KL."""
+    mu, logvar, cache = _sketch_forward(model, xn)
+    # model.reparameterize without its per-call checks: same expression.
+    z = mu + eps * np.exp(0.5 * logvar)
+    centers = normalize_rows_fwd(weights)
+    loss, dmu, dlogvar, dcos, zb = _uncertainty_core(z, mu, logvar, centers, labels, margins, lam)
+    return loss, sketch_backward(model, cache, dmu, dlogvar) + [normalize_rows_bwd(dcos.T @ zb, *centers)]
+
+
+def _shape_objective(model, centers, views, labels, margins: MarginParams):
+    """Stage-2 loss and gradients, ordered like model.parameters(): the
+    margin loss of a block through _prepare_views against frozen centers,
+    given as ``normalize_rows_fwd(weights)``."""
+    f, cache = _shape_forward(model, views)
+    loss, df, _, _ = _margin_core(f, centers, labels, margins)
+    return loss, shape_backward(model, cache, df)
 
 
 def train_stage1(records, cfg: TrainConfig, rng: Rng):
@@ -259,13 +282,8 @@ def train_stage1(records, cfg: TrainConfig, rng: Rng):
     xn = _prepare_sketches(x)
 
     def step(batch):
-        mu, logvar, cache = _sketch_forward(model, xn[batch])
-        # model.reparameterize without its per-call checks: same expression.
-        z = mu + rng.normal_matrix(len(batch), cfg.embed_dim) * np.exp(0.5 * logvar)
-        centers = normalize_rows_fwd(classifier.weights)
-        loss, dmu, dlogvar, dcos, zb = _uncertainty_core(z, mu, logvar, centers, y[batch], margins, cfg.lam)
-        dw = normalize_rows_bwd(dcos.T @ zb, *centers)
-        return loss, sketch_backward(model, cache, dmu, dlogvar) + [dw]
+        eps = rng.normal_matrix(len(batch), cfg.embed_dim)
+        return _sketch_objective(model, classifier.weights, xn[batch], y[batch], eps, margins, cfg.lam)
 
     report = _fit("stage 1", cfg, rng, len(records), model.parameters() + [classifier.weights], step)
     return model, classifier.freeze(), report
@@ -297,9 +315,7 @@ def train_stage2(records, classifier: Classifier, cfg: TrainConfig, rng: Rng):
     centers = normalize_rows_fwd(classifier.weights)
 
     def step(batch):
-        f, cache = _shape_forward(model, views[batch])
-        loss, df, _, _ = _margin_core(f, centers, y[batch], margins)
-        return loss, shape_backward(model, cache, df)
+        return _shape_objective(model, centers, views[batch], y[batch], margins)
 
     report = _fit("stage 2", cfg, rng, len(records), model.parameters(), step)
     if not np.array_equal(weights_before, classifier.weights):

@@ -1,7 +1,11 @@
 """Command-line interface: exit codes, pipeline smoke run, determinism."""
 
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,3 +312,27 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "margin_loss" in out
         assert "OK" in out
+
+
+class TestRunAsModule:
+    """``python -m sketchshape.cli`` from a checkout runs the command."""
+
+    @staticmethod
+    def _run(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run(
+            [sys.executable, "-m", "sketchshape.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_missing_input_exits_2_with_one_error_line(self, tmp_path):
+        missing = str(tmp_path / "nonexistent.csv")
+        done = self._run("eval", "--queries", missing, "--gallery", missing, "--out", str(tmp_path / "eval"))
+        assert done.returncode == 2
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error:") and missing in line
+
+    def test_gradcheck_exits_0_and_prints_ok(self):
+        done = self._run("gradcheck", "--seed", "0")
+        assert done.returncode == 0
+        assert "[gradcheck] OK" in done.stdout

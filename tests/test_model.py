@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from reference import mlp_forward_bruteforce
+from sketchshape import gradcheck, train
 from sketchshape.gradcheck import check_shape_chain, check_sketch_chain
 from sketchshape.losses import Classifier
 from sketchshape.model import (
@@ -112,6 +113,12 @@ class TestEncodeSketch:
         x = Rng(6).uniform_matrix(20, 5, -2.0, 2.0)
         mu, lv, _ = encode_sketch_batch(model, x)
         assert np.isfinite(mu).all() and np.isfinite(lv).all()
+
+    def test_non_finite_parameter_rejected(self):
+        model = init_sketch_model(_tiny_cfg(), Rng(5))
+        model.backbone.layers[0][0][0, 0] = np.nan
+        with pytest.raises(ValueError, match="^sketch mu contains non-finite entries$"):
+            encode_sketch_batch(model, Rng(6).uniform_matrix(4, 5, -2.0, 2.0))
 
 
 class TestReparameterize:
@@ -231,6 +238,12 @@ class TestEncodeShape:
         want = mlp_forward_bruteforce(proj_layers, pooled)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
+    def test_non_finite_parameter_rejected(self):
+        model = init_shape_model(_tiny_cfg(), Rng(5))
+        model.proj.layers[0][1][0] = np.nan
+        with pytest.raises(ValueError, match="^shape embedding contains non-finite entries$"):
+            encode_shape_batch(model, Rng(6).uniform_matrix(6, 5, -2.0, 2.0).reshape(2, 3, 5))
+
     def test_empty_views_rejected(self):
         model = init_shape_model(_tiny_cfg(), Rng(0))
         with pytest.raises(ValueError, match="at least one view"):
@@ -337,3 +350,22 @@ class TestFullChainGradients:
     @pytest.mark.parametrize("seed", range(3))
     def test_shape_chain(self, seed):
         assert check_shape_chain(seed) < 1e-4
+
+    def test_chain_checks_run_the_training_objectives(self):
+        assert gradcheck._sketch_objective is train._sketch_objective
+        assert gradcheck._shape_objective is train._shape_objective
+
+    @pytest.mark.parametrize(
+        "name, check", [("_sketch_objective", check_sketch_chain), ("_shape_objective", check_shape_chain)]
+    )
+    @pytest.mark.parametrize("which", [0, -1])
+    def test_wrong_objective_gradient_fails(self, monkeypatch, name, check, which):
+        objective = getattr(gradcheck, name)
+
+        def skewed(*args):
+            loss, grads = objective(*args)
+            grads[which] = grads[which] * 1.001
+            return loss, grads
+
+        monkeypatch.setattr(gradcheck, name, skewed)
+        assert check(0) > gradcheck.TOLERANCE

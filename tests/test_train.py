@@ -19,6 +19,7 @@ from sketchshape.model import (
     sketch_backward,
 )
 from sketchshape.rng import Rng
+from sketchshape import train as train_mod
 from sketchshape.train import (
     TrainConfig,
     TrainReport,
@@ -61,6 +62,10 @@ def easy_cfg(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("training started")
 
 
 class TestCosineLr:
@@ -284,6 +289,14 @@ class TestStage1:
         with pytest.raises(ValueError, match=rf"sketch labels out of range \[0, 3\): \[{named}\]$"):
             train_stage1(records, easy_cfg(), Rng(0))
 
+    def test_non_finite_feature_rejected_before_training(self, monkeypatch):
+        records = easy_dataset(4).sketches("train")
+        records[5].features = records[5].features.copy()
+        records[5].features[2] = np.nan
+        monkeypatch.setattr(train_mod, "_fit", _no_training)
+        with pytest.raises(ValueError, match="^sketch features contains non-finite entries$"):
+            train_stage1(records, easy_cfg(), Rng(0))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):
         ds = easy_dataset(5)
@@ -316,6 +329,15 @@ class TestStage2:
         ds, cfg, _, classifier = self._stage1()
         with pytest.raises(ValueError, match="embedding dim 5 != class-center dim 8"):
             train_stage2(ds.shapes("train"), classifier, replace(cfg, embed_dim=5), Rng(0))
+
+    def test_non_finite_feature_rejected_before_training(self, monkeypatch):
+        ds, cfg, _, classifier = self._stage1()
+        records = ds.shapes("train")
+        records[3].features = records[3].features.copy()
+        records[3].features[1, 0] = np.inf
+        monkeypatch.setattr(train_mod, "_fit", _no_training)
+        with pytest.raises(ValueError, match="^shape view features contains non-finite entries$"):
+            train_stage2(records, classifier, cfg, Rng(0))
 
     def test_label_outside_classifier_rejected(self):
         ds, cfg, _, classifier = self._stage1()
