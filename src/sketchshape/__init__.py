@@ -21,7 +21,7 @@ from .model import Mlp, ShapeModel, SketchModel, reparameterize
 from .ops import cosine_matrix, grad_check, l2_normalize_rows
 from .rng import Rng
 from .train import TrainConfig, TrainReport, cosine_lr, sgd_step, train_stage1, train_stage2
-from .uncertainty import UncertaintyRecord, detection_auc, harmonic_mean, normalize_and_bucket
+from .uncertainty import Scores, detection_auc, harmonic_mean
 
 __version__ = "0.1.0"
 
@@ -32,11 +32,11 @@ __all__ = [
     "Mlp",
     "RankedList",
     "Rng",
+    "Scores",
     "ShapeModel",
     "SketchModel",
     "TrainConfig",
     "TrainReport",
-    "UncertaintyRecord",
     "average_precision",
     "center_accuracy",
     "cosine_lr",
@@ -50,7 +50,6 @@ __all__ = [
     "kl_gaussian",
     "l2_normalize_rows",
     "margin_cosine_loss",
-    "normalize_and_bucket",
     "rank",
     "reparameterize",
     "sgd_step",

@@ -2,8 +2,10 @@
 
 Commands: gen-data, train-sketch, train-shape, embed, eval,
 report-uncertainty, gradcheck.  Exit codes: 0 success, 1 usage error,
-2 runtime or data error.  Every run prints its resolved configuration and
-seed; all randomness flows from the explicit --seed flag.
+2 runtime or data error with one ``error:`` line (numpy's floating-point
+warnings are silenced: the finiteness checks report a diverging run).
+Every run prints its resolved configuration and seed; all randomness flows
+from the explicit --seed flag.
 """
 
 import argparse
@@ -36,27 +38,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _print_config(command: str, cfg: TrainConfig) -> None:
+def _train_config(command: str, args, manifest) -> TrainConfig:
+    """The config file or the defaults, then --epochs, --seed and the dataset's sizes; printed."""
+    cfg = load_config(args.config) if args.config else TrainConfig()
+    overrides = {"feature_dim": manifest.feature_dim, "classes": manifest.classes, "views": manifest.views}
+    if args.epochs is not None:
+        overrides["max_epochs"] = args.epochs
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    cfg = replace(cfg, **overrides)
     print(f"[{command}] resolved configuration:")
     for line in format_config(cfg).splitlines():
         print(f"[{command}]   {line}")
-
-
-def _resolve_config(args) -> TrainConfig:
-    cfg = TrainConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, base=cfg)
-    overrides = {}
-    if getattr(args, "epochs", None) is not None:
-        overrides["max_epochs"] = args.epochs
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-def _config_for_dataset(args, manifest) -> TrainConfig:
-    cfg = _resolve_config(args)
-    return replace(cfg, feature_dim=manifest.feature_dim, classes=manifest.classes, views=manifest.views)
+    return cfg
 
 
 def cmd_gen_data(args) -> int:
@@ -83,50 +77,52 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _write_run(command: str, out, checkpoint: str, report_name: str, report, save, *state) -> int:
+    """Write a trained stage's checkpoint, ``save(path, *state)``, and its report."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    save(out / checkpoint, *state)
+    report.write(out / report_name)
+    print(f"[{command}] final epoch loss = {report.losses[-1]!r}")
+    print(f"[{command}] wall time = {report.wall_time:.2f}s")
+    print(f"[{command}] wrote {out / checkpoint}")
+    return 0
+
+
 def cmd_train_sketch(args) -> int:
     ds = data_mod.load_dataset(args.data, "sketch")
-    cfg = _config_for_dataset(args, ds.manifest)
-    _print_config("train-sketch", cfg)
-    rng = Rng(cfg.seed)
-    model, classifier, report = train_stage1(ds.sketches("train"), cfg, rng)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_sketch_checkpoint(out / "sketch.ckpt", model, classifier)
-    report.write(out / "stage1_report.txt")
-    print(f"[train-sketch] final epoch loss = {report.losses[-1]!r}")
-    print(f"[train-sketch] wall time = {report.wall_time:.2f}s")
-    print(f"[train-sketch] wrote {out / 'sketch.ckpt'}")
-    return 0
+    cfg = _train_config("train-sketch", args, ds.manifest)
+    model, classifier, report = train_stage1(ds.sketches("train"), cfg, Rng(cfg.seed))
+    return _write_run("train-sketch", args.out, "sketch.ckpt", "stage1_report.txt", report,
+                      save_sketch_checkpoint, model, classifier)
 
 
 def cmd_train_shape(args) -> int:
     ds = data_mod.load_dataset(args.data, "shape")
-    cfg = _config_for_dataset(args, ds.manifest)
-    _print_config("train-shape", cfg)
+    cfg = _train_config("train-shape", args, ds.manifest)
     _, classifier = load_sketch_checkpoint(args.checkpoint)
     if not classifier.frozen:
         classifier = classifier.freeze()
-    rng = Rng(cfg.seed)
-    model, report = train_stage2(ds.shapes("train"), classifier, cfg, rng)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_shape_checkpoint(out / "shape.ckpt", model)
-    report.write(out / "stage2_report.txt")
-    print(f"[train-shape] final epoch loss = {report.losses[-1]!r}")
-    print(f"[train-shape] wall time = {report.wall_time:.2f}s")
-    print(f"[train-shape] wrote {out / 'shape.ckpt'}")
-    return 0
+    model, report = train_stage2(ds.shapes("train"), classifier, cfg, Rng(cfg.seed))
+    return _write_run("train-shape", args.out, "shape.ckpt", "stage2_report.txt", report, save_shape_checkpoint, model)
+
+
+def _encode_split(args, only=None):
+    """(records of ``args.split``, encoder outputs), reading the checkpoint
+    (of kind ``only`` if given) before the dataset of its kind."""
+    kind, model, _ = load_checkpoint(args.checkpoint)
+    if only is not None and kind != only:
+        raise ValueError(f"{args.checkpoint}: expected a {only} checkpoint, found kind {kind!r}")
+    records = data_mod.load_dataset(args.data, kind).subset(kind, args.split)
+    if not records:
+        raise ValueError(f"no {kind} records in split {args.split!r}")
+    encode = encode_sketch_batch if kind == "sketch" else encode_shape_batch
+    return records, encode(model, np.stack([r.features for r in records]))
 
 
 def cmd_embed(args) -> int:
     print(f"[embed] checkpoint = {args.checkpoint}, data = {args.data}, split = {args.split}")
-    kind, model, _ = load_checkpoint(args.checkpoint)
-    ds = data_mod.load_dataset(args.data, kind)
-    records = ds.subset(kind, args.split)
-    if not records:
-        raise ValueError(f"no {kind} records in split {args.split!r}")
-    encode = encode_sketch_batch if kind == "sketch" else encode_shape_batch
-    emb = encode(model, np.stack([r.features for r in records]))[0]
+    records, (emb, *_) = _encode_split(args)
     data_mod.save_embeddings(args.out, records, emb)
     print(f"[embed] wrote {emb.shape[0]} x {emb.shape[1]} embeddings to {args.out}")
     return 0
@@ -154,20 +150,14 @@ def cmd_eval(args) -> int:
 
 def cmd_report_uncertainty(args) -> int:
     print(f"[report-uncertainty] checkpoint = {args.checkpoint}, data = {args.data}, split = {args.split}")
-    model, _ = load_sketch_checkpoint(args.checkpoint)
-    ds = data_mod.load_dataset(args.data, "sketch")
-    records = ds.sketches(args.split)
-    if not records:
-        raise ValueError(f"no sketch records in split {args.split!r}")
-    x = np.stack([r.features for r in records])
-    _, logvar, _ = encode_sketch_batch(model, x)
-    sigma2 = np.exp(logvar)
-    recs, percentages = uncert_mod.analyze([r.sample_id for r in records], sigma2)
+    records, (_, logvar, _) = _encode_split(args, only="sketch")
+    ids = [r.sample_id for r in records]
+    scores = uncert_mod.analyze(ids, np.exp(logvar))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    uncert_mod.write_report(recs, percentages, out / "uncertainty.csv", out / "uncertainty_summary.txt")
+    uncert_mod.write_report(ids, scores, out / "uncertainty.csv", out / "uncertainty_summary.txt")
     for name in uncert_mod.BUCKETS:
-        print(f"[report-uncertainty] percent_{name} = {percentages[name]:.1f}")
+        print(f"[report-uncertainty] percent_{name} = {scores.percentages[name]:.1f}")
     print(f"[report-uncertainty] wrote {out / 'uncertainty.csv'}")
     return 0
 
@@ -253,7 +243,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import normalize_rows_fwd, normalize_rows_bwd, require_finite
+from .ops import _first, normalize_rows_bwd, normalize_rows_fwd, require_finite
 
 
 @dataclass
@@ -84,8 +84,8 @@ def _check_batch(z, weights, labels):
     if labels.shape != (n,):
         raise ValueError(f"expected {n} labels, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
-        bad = labels[(labels < 0) | (labels >= c)]
-        raise ValueError(f"labels out of range [0, {c}): {sorted(set(bad.tolist()))}")
+        bad = sorted(set(labels[(labels < 0) | (labels >= c)].tolist()))
+        raise ValueError(f"labels out of range [0, {c}): {_first(bad, len(bad))}")
     return z, weights, labels
 
 

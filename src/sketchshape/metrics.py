@@ -26,10 +26,12 @@ are sorted with numpy's default argsort, the fastest; a row in which two
 sorted keys are equal is sorted again with a stable sort, which keeps equal
 similarities in gallery order.  A row without equal keys has exactly one
 sorted order, so both sorts agree on it.  Embeddings must be finite: NaN
-compares unequal to itself and would hide a tie.  Every metric, and the
-interpolated precision-recall curve, follows from the ranks of the relevant
-items alone, and all of them come from one function, ``_score_block``; the
-single-query functions call it with a one-row block.
+compares unequal to itself and would hide a tie.  Equal cosines rank by
+gallery position only where both round to the same value, as for identical
+or all-zero rows; parallel rows such as (1, 1) and (3, 3) may not.  Every
+metric, and the interpolated precision-recall curve, follows from the ranks
+of the relevant items alone, and all of them come from one function,
+``_score_block``; the single-query functions call it with a one-row block.
 
 The DCG discounts come from math.log2, as in the brute-force oracle, since
 np.log2 may differ from it in the last ulp.

@@ -9,6 +9,8 @@ rescaled row normalises to bit-identical output, which is what makes the
 cosine losses and retrieval metrics exactly scale-invariant.
 """
 
+import itertools
+
 import numpy as np
 
 NORM_EPS = 1e-12
@@ -16,6 +18,13 @@ NORM_EPS = 1e-12
 
 def _shape(a: np.ndarray) -> str:
     return "x".join(str(d) for d in a.shape)
+
+
+def _first(values, total: int, limit: int = 10) -> str:
+    """The first ``limit`` of ``total`` values, then "..." if there are
+    more, so an error message stays short however many values fail."""
+    shown = [str(v) for v in itertools.islice(values, limit)]
+    return "[" + ", ".join(shown + ["..."] * (total > limit)) + "]"
 
 
 def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:

@@ -16,10 +16,9 @@ training steps call them, and ``gradcheck``'s chain checks verify the same
 functions against finite differences.  Each stage checks its features,
 labels and classifier once per run, then trains with steps that do
 arithmetic only, with stage 2's frozen centers normalised once; a run that
-diverges stops at ``_fit``'s non-finite-loss abort.
+diverges stops at ``_fit``'s non-finite loss or parameter check.
 """
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -38,7 +37,7 @@ from .model import (
     shape_backward,
     sketch_backward,
 )
-from .ops import normalize_rows_bwd, normalize_rows_fwd, require_finite
+from .ops import _first, normalize_rows_bwd, normalize_rows_fwd, require_finite
 from .rng import Rng
 
 
@@ -76,6 +75,9 @@ class TrainConfig:
             raise ValueError(f"hidden must be a non-empty tuple of positive ints, got {self.hidden}")
         if any(h < 1 for h in self.head_hidden):
             raise ValueError(f"head_hidden dims must be positive, got {self.head_hidden}")
+        for name in ("lr0", "lam", "momentum", "s_sketch", "s_shape"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr0 < 0 or self.lam < 0 or self.momentum < 0:
             raise ValueError("lr0, lam and momentum must be >= 0")
         for name in ("m_s", "m_v"):
@@ -200,7 +202,7 @@ def _fit(stage: str, cfg: TrainConfig, rng: Rng, n: int, params, step) -> TrainR
     ordered like params, then sgd_step, with velocity buffers only when
     cfg.momentum is nonzero.  The stages validate their inputs before
     calling this, so ``step`` does arithmetic only.  Aborts with a
-    diagnostic if the loss goes non-finite."""
+    diagnostic on a non-finite loss, or parameter after the last step."""
     velocity = [np.zeros_like(p) for p in params] if cfg.momentum else None
     report = TrainReport(seed=cfg.seed)
     start_time = time.perf_counter()
@@ -219,6 +221,9 @@ def _fit(stage: str, cfg: TrainConfig, rng: Rng, n: int, params, step) -> TrainR
             total += loss * len(batch)
         report.losses.append(total / n)
         report.lrs.append(lr)
+    # The loss checks see every update but the last one.
+    if not all(np.isfinite(p).all() for p in params):
+        raise RuntimeError(f"{stage} aborted: non-finite parameters after the last step of epoch {epoch}")
     report.wall_time = time.perf_counter() - start_time
     return report
 
@@ -230,13 +235,6 @@ def _stack(records, cfg, what: str, layout: str):
     if x.ndim != len(layout) + 1 or x.shape[-1] != cfg.feature_dim:
         raise ValueError(f"{what} have shape {x.shape}, expected {'x'.join(layout)}x{cfg.feature_dim}")
     return require_finite(x, what), np.array([r.label for r in records], dtype=np.int64)
-
-
-def _first(values, total: int, limit: int = 10) -> str:
-    """The first ``limit`` of ``total`` values, then "..." if there are
-    more, so an error message stays short however many values fail."""
-    shown = [str(v) for v in itertools.islice(values, limit)]
-    return "[" + ", ".join(shown + ["..."] * (total > limit)) + "]"
 
 
 def _sketch_objective(model, weights, xn, labels, eps, margins: MarginParams, lam: float):

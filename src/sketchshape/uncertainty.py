@@ -1,98 +1,69 @@
 """Scalar uncertainty scores from per-dimension variances, plus bucketing.
 
-A sample's learned variance vector is collapsed to one score with the
-harmonic mean over dimensions.  Scores are min-max normalised into [0, 1]
-and split into three equal-width buckets (low / mid / high); the summary
-reports the percentage of samples per bucket.
+Each row of an N x D variance matrix is collapsed to one score, the harmonic
+mean over its dimensions (as in DUL, Chang et al., CVPR 2020).  The scores
+are min-max normalised into [0, 1] and split into three equal-width buckets
+(low / mid / high), as arrays in row order, with the share per bucket.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 BUCKETS = ("low", "mid", "high")
 
 
-@dataclass
-class UncertaintyRecord:
-    sample_id: str
-    sigma2: np.ndarray
-    score: float
-    normalized: float
-    bucket: str
+class Scores(NamedTuple):
+    """analyze's per-sample arrays, in row order, and percent per bucket."""
+
+    score: np.ndarray
+    normalized: np.ndarray
+    bucket: np.ndarray
+    percentages: dict
 
 
-def harmonic_mean(sigma2) -> float:
-    """D / sum(1 / sigma2_d); every entry must be strictly positive."""
-    sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if sigma2.size == 0:
+def harmonic_mean(sigma2):
+    """D / sum_d(1 / sigma2_d) of a vector (a float) or of each row of an
+    N x D matrix, bitwise equal per row: in C order each row reduces with a
+    vector's pairwise sum.  Every entry must be strictly positive."""
+    sigma2 = np.ascontiguousarray(sigma2, dtype=np.float64)
+    if sigma2.shape[-1] == 0:
         raise ValueError("harmonic_mean of an empty vector")
     if np.any(sigma2 <= 0.0):
         raise ValueError("harmonic_mean requires strictly positive entries")
-    return float(sigma2.size / np.sum(1.0 / sigma2))
+    scores = sigma2.shape[-1] / np.add.reduce(1.0 / sigma2, axis=-1)
+    return float(scores) if sigma2.ndim == 1 else scores
 
 
-def bucket_of(normalized: float) -> str:
-    """Equal-width thirds: [0, 1/3) low, [1/3, 2/3) mid, [2/3, 1] high."""
-    if normalized < 1.0 / 3.0:
-        return "low"
-    if normalized < 2.0 / 3.0:
-        return "mid"
-    return "high"
-
-
-def normalize_and_bucket(scores, ids=None):
-    """Min-max normalise raw scores and assign buckets.
-
-    Returns (records, percentages) where records carry (id, raw score,
-    normalised score, bucket) and percentages maps bucket name to the share
-    of samples in percent.  Needs at least two distinct scores, otherwise
-    the normalisation is undefined.
-    """
-    scores = [float(s) for s in scores]
-    if len(scores) < 2:
-        raise ValueError(f"need at least 2 scores to normalise, got {len(scores)}")
-    lo, hi = min(scores), max(scores)
+def analyze(ids, sigma2) -> Scores:
+    """Scores of the rows of a variance matrix, one row per id, min-max
+    normalised and bucketed by thirds: [0, 1/3) low, [1/3, 2/3) mid,
+    [2/3, 1] high.  Needs at least two distinct scores."""
+    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    if len(ids) != len(sigma2):
+        raise ValueError(f"{len(ids)} ids but {len(sigma2)} variance rows")
+    if len(sigma2) < 2:
+        raise ValueError(f"need at least 2 scores to normalise, got {len(sigma2)}")
+    scores = harmonic_mean(sigma2.reshape(len(sigma2), -1))
+    lo, hi = scores.min(), scores.max()
     if lo == hi:
         raise ValueError("all scores equal; min-max normalisation undefined")
-    if ids is None:
-        ids = [str(i) for i in range(len(scores))]
-    records = []
-    counts = dict.fromkeys(BUCKETS, 0)
-    for sample_id, score in zip(ids, scores):
-        normalized = (score - lo) / (hi - lo)
-        bucket = bucket_of(normalized)
-        counts[bucket] += 1
-        records.append(UncertaintyRecord(str(sample_id), None, score, normalized, bucket))
-    percentages = {name: 100.0 * counts[name] / len(scores) for name in BUCKETS}
-    return records, percentages
+    normalized = (scores - lo) / (hi - lo)
+    bucket = np.searchsorted([1.0 / 3.0, 2.0 / 3.0], normalized, side="right")
+    counts = np.bincount(bucket, minlength=len(BUCKETS)).tolist()
+    percentages = {name: 100.0 * count / len(scores) for name, count in zip(BUCKETS, counts)}
+    return Scores(scores, normalized, bucket, percentages)
 
 
-def analyze(ids, sigma2_rows):
-    """Full per-sample analysis from variance vectors.
-
-    Returns (records, percentages): harmonic-mean scores, normalised and
-    bucketed, with the variance vectors attached to the records.
-    """
-    sigma2_rows = [np.asarray(row, dtype=np.float64) for row in sigma2_rows]
-    if len(ids) != len(sigma2_rows):
-        raise ValueError(f"{len(ids)} ids but {len(sigma2_rows)} variance rows")
-    scores = [harmonic_mean(row) for row in sigma2_rows]
-    records, percentages = normalize_and_bucket(scores, ids)
-    for record, row in zip(records, sigma2_rows):
-        record.sigma2 = row
-    return records, percentages
-
-
-def write_report(records, percentages, csv_path, summary_path) -> None:
+def write_report(ids, scores: Scores, csv_path, summary_path) -> None:
+    rows = zip(ids, scores.score.tolist(), scores.normalized.tolist(), scores.bucket.tolist())
     with open(csv_path, "w", encoding="ascii") as fh:
         fh.write("id,score,normalized,bucket\n")
-        for r in records:
-            fh.write(f"{r.sample_id},{r.score!r},{r.normalized!r},{r.bucket}\n")
+        fh.writelines(f"{i},{s!r},{n!r},{BUCKETS[b]}\n" for i, s, n, b in rows)
     with open(summary_path, "w", encoding="ascii") as fh:
-        fh.write(f"samples = {len(records)}\n")
+        fh.write(f"samples = {len(scores.score)}\n")
         for name in BUCKETS:
-            fh.write(f"percent_{name} = {percentages[name]!r}\n")
+            fh.write(f"percent_{name} = {scores.percentages[name]!r}\n")
 
 
 def detection_auc(scores, flags) -> float:

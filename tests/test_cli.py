@@ -196,6 +196,13 @@ class TestBadInputs:
         pattern = rf"sketches.csv line 5: row {fields[0]} has non-finite values"
         self._fails(self._train_sketch(data, tmp_path, pipeline["cfg"]), capsys, pattern)
 
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_training_prints_only_the_error(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(DESK_CONFIG.replace("lr0 = 0.05", "lr0 = 500") + "\n")
+        argv = self._train_sketch(pipeline["data"], tmp_path, cfg) + ["--seed", "5"]
+        self._fails(argv, capsys, r"^error: stage 1 aborted: non-finite")
+
     def test_nan_in_shapes_csv_exits_2(self, pipeline, tmp_path, capsys):
         data = shutil.copytree(pipeline["data"], tmp_path / "data")
         lines = (data / "shapes.csv").read_text().splitlines()
@@ -300,10 +307,13 @@ class TestPipeline:
         assert len(lines) == 1 + 36
         assert "percent_high" in (out / "uncertainty_summary.txt").read_text()
 
-    def test_shape_checkpoint_rejected_for_uncertainty(self, pipeline, tmp_path):
+    def test_shape_checkpoint_rejected_for_uncertainty(self, pipeline, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(data_mod, "load_dataset", lambda *a: pytest.fail("dataset read"))
+        ckpt = pipeline["run"] / "shape.ckpt"
         assert main(
-            ["report-uncertainty", "--checkpoint", str(pipeline["run"] / "shape.ckpt"), "--data", str(pipeline["data"]), "--split", "train", "--out", str(tmp_path)]
+            ["report-uncertainty", "--checkpoint", str(ckpt), "--data", str(pipeline["data"]), "--split", "train", "--out", str(tmp_path)]
         ) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: expected a sketch checkpoint, found kind 'shape'\n"
 
 
 class TestGradcheckCommand:

@@ -105,6 +105,12 @@ class TestMarginCosineLoss:
         with pytest.raises(ValueError, match="out of range"):
             margin_cosine_loss(z, w, [0, 4], MarginParams(30.0, 0.5))
 
+    def test_label_range_message_stays_short(self):
+        with pytest.raises(ValueError) as err:
+            margin_cosine_loss(np.ones((500, 3)), np.ones((2, 3)), np.arange(500), MarginParams(30.0, 0.5))
+        message = str(err.value)
+        assert message.startswith("labels out of range [0, 2)") and len(message) < 200
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             margin_cosine_loss(np.zeros((0, 3)), np.ones((2, 3)), [], MarginParams(30.0, 0.5))

@@ -161,6 +161,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(lam=-0.1)
 
+    @pytest.mark.parametrize("name", ["lr0", "lam", "momentum", "s_sketch", "s_shape"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_hyperparameter_rejected(self, tmp_path, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+            TrainConfig(**{name: value})
+        path = tmp_path / "train.cfg"
+        path.write_text(f"{name} = {value}\n")
+        with pytest.raises(ValueError, match=rf"train.cfg: {name} must be finite"):
+            load_config(path)
+
     def test_config_file_round_trip(self, tmp_path):
         cfg = easy_cfg(lr0=0.123, hidden=(5, 6), lam=0.25)
         path = tmp_path / "train.cfg"
@@ -338,6 +348,14 @@ class TestStage2:
         monkeypatch.setattr(train_mod, "_fit", _no_training)
         with pytest.raises(ValueError, match="^shape view features contains non-finite entries$"):
             train_stage2(records, classifier, cfg, Rng(0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_last_update_aborts(self):
+        ds, cfg, _, classifier = self._stage1()
+        records = ds.shapes("train")
+        one_batch = replace(cfg, lr0=1e308, max_epochs=1, batch_size=len(records))
+        with pytest.raises(RuntimeError, match="stage 2 aborted: non-finite parameters"):
+            train_stage2(records, classifier, one_batch, Rng(0))
 
     def test_label_outside_classifier_rejected(self):
         ds, cfg, _, classifier = self._stage1()
