@@ -8,16 +8,21 @@ under the wrong label).  Shapes are bundles of per-view features around the
 prototype.  The noisy flag is ground truth that real sketch datasets lack
 and lives in its own file so evaluation code cannot read it by accident.
 
-Files (all plain text, floats serialised with repr so round-trips are
-bitwise):
+Files (all ASCII text, floats serialised with repr so round-trips are
+bitwise; a non-ASCII byte is an error naming the file and the line):
   manifest.txt   key=value summary of the generation parameters and counts
   sketches.csv   id,label,split,modality,v0..v{dim-1}, one row per sketch
   shapes.csv     same header, one row per view, view rows share a common id
                  prefix with a ".vNN" suffix
-  noisy.csv      id,noisy for every sketch
+  noisy.csv      id,noisy for every sketch; only the full load_dataset reads it
+
+A feature file (the two above, and the embedding files) is held in memory
+as five columns, from parse to write: ids, labels (int64), splits and
+modalities, and one float64 rows x dim matrix.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,7 +47,7 @@ class SampleRecord:
     split: str
     modality: str
     features: np.ndarray  # (dim,) for sketches, (views, dim) for shapes
-    noisy: bool = False
+    noisy: bool | None = None  # None: noisy.csv was not read
 
 
 @dataclass
@@ -164,47 +169,67 @@ def _feature_header(dim: int) -> str:
     return "id,label,split,modality," + ",".join(f"v{i}" for i in range(dim))
 
 
-def write_feature_csv(path, rows, dim: int) -> None:
-    """rows: iterable of (id, label, split, modality, vector)."""
+def write_feature_csv(path, ids, labels, splits, modalities, matrix) -> None:
+    """One row per sample: the four text columns, then the row of
+    ``matrix`` (rows x dim) formatted one row at a time."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(_feature_header(dim) + "\n")
-        for sample_id, label, split, modality, vec in rows:
-            values = ",".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
+        fh.write(_feature_header(matrix.shape[1]) + "\n")
+        for sample_id, label, split, modality, vec in zip(ids, labels, splits, modalities, matrix):
+            values = ",".join(map(repr, vec.tolist()))
             fh.write(f"{sample_id},{label},{split},{modality},{values}\n")
 
 
+def _text_lines(path):
+    """Yield (line number, line) of an ASCII text file, with text-mode
+    newlines; a non-ASCII byte raises ValueError naming the file and line."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
+                raise ValueError(f"{path} line {lineno}: non-ASCII byte 0x{byte:02x}")
+            yield lineno, line
+
+
 def read_feature_csv(path):
-    """Returns (rows, dim) with rows of (id, label, split, modality,
-    vector); raises with the offending line number on malformed input or a
-    non-finite value."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        cols = header.split(",")
-        if len(cols) < 5 or cols[:4] != ["id", "label", "split", "modality"] or cols[4] != "v0":
-            raise ValueError(f"{path}: unrecognised header {header!r}")
-        dim = len(cols) - 4
-        expected = [f"v{i}" for i in range(dim)]
-        if cols[4:] != expected:
-            raise ValueError(f"{path}: feature columns must be v0..v{dim - 1}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4 + dim:
-                raise ValueError(f"{path} line {lineno}: expected {4 + dim} fields, got {len(parts)}")
-            try:
-                label = int(parts[1])
-                values = [float(v) for v in parts[4:]]
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
-            # The row's float sum is finite unless a value is not or the sum
-            # overflows; only then is each value checked.
-            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-                raise ValueError(f"{path} line {lineno}: row {parts[0]} has non-finite values")
-            rows.append((parts[0], label, parts[2], parts[3], np.array(values)))
-    return rows, dim
+    """Returns the columns (ids, labels, splits, modalities, matrix), labels
+    as int64 and matrix as float64 rows x dim; raises with the offending
+    line number on malformed input or a non-finite value."""
+    lines = _text_lines(path)
+    header = next(lines, (1, ""))[1].rstrip("\n")
+    cols = header.split(",")
+    if len(cols) < 5 or cols[:4] != ["id", "label", "split", "modality"] or cols[4] != "v0":
+        raise ValueError(f"{path}: unrecognised header {header!r}")
+    dim = len(cols) - 4
+    if cols[4:] != [f"v{i}" for i in range(dim)]:
+        raise ValueError(f"{path}: feature columns must be v0..v{dim - 1}")
+    ids, splits, modalities = [], [], []
+    labels, values = array("q"), array("d")
+    for lineno, line in lines:
+        if line == "\n":
+            continue
+        parts = line.rstrip("\n").split(",")
+        if len(parts) != 4 + dim:
+            raise ValueError(f"{path} line {lineno}: expected {4 + dim} fields, got {len(parts)}")
+        try:
+            labels.append(int(parts[1]))
+            row = [float(v) for v in parts[4:]]
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
+        # The row's float sum is finite unless a value is not or the sum
+        # overflows; only then is each value checked.
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+            raise ValueError(f"{path} line {lineno}: row {parts[0]} has non-finite values")
+        ids.append(parts[0])
+        splits.append(parts[2])
+        modalities.append(parts[3])
+        values.extend(row)
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dim)
+    return ids, np.frombuffer(labels, dtype=np.int64), splits, modalities, matrix
+
+
+def _columns(records):
+    """The ids, labels, splits and modalities of records, as lists."""
+    return tuple([getattr(r, name) for r in records] for name in ("sample_id", "label", "split", "modality"))
 
 
 def save_dataset(ds: Dataset, outdir) -> None:
@@ -221,27 +246,18 @@ def save_dataset(ds: Dataset, outdir) -> None:
         fh.write(f"noise_mode = {m.noise_mode}\n")
         fh.write(f"seed = {m.seed}\n")
 
-    sketch_rows = []
-    noisy_rows = []
-    for r in ds.records:
-        if r.modality != "sketch":
-            continue
-        sketch_rows.append((r.sample_id, r.label, r.split, r.modality, r.features))
-        noisy_rows.append((r.sample_id, int(r.noisy)))
-    write_feature_csv(outdir / "sketches.csv", sketch_rows, m.feature_dim)
-
-    shape_rows = []
-    for r in ds.records:
-        if r.modality != "shape":
-            continue
-        for j, view in enumerate(r.features):
-            shape_rows.append((f"{r.sample_id}.v{j:02d}", r.label, r.split, r.modality, view))
-    write_feature_csv(outdir / "shapes.csv", shape_rows, m.feature_dim)
-
+    sketches = [r for r in ds.records if r.modality == "sketch"]
+    features = np.array([r.features for r in sketches]).reshape(-1, m.feature_dim)
+    write_feature_csv(outdir / "sketches.csv", *_columns(sketches), features)
+    shapes = [r for r in ds.records if r.modality == "shape"]
+    ids = [f"{r.sample_id}.v{j:02d}" for r in shapes for j in range(len(r.features))]
+    views = [r for r in shapes for _ in r.features]
+    features = np.array([r.features for r in shapes]).reshape(-1, m.feature_dim)
+    write_feature_csv(outdir / "shapes.csv", ids, *_columns(views)[1:], features)
     with open(outdir / "noisy.csv", "w", encoding="ascii") as fh:
         fh.write("id,noisy\n")
-        for sample_id, flag in noisy_rows:
-            fh.write(f"{sample_id},{flag}\n")
+        for r in sketches:
+            fh.write(f"{r.sample_id},{int(r.noisy)}\n")
 
 
 def _as_dir(path):
@@ -252,32 +268,35 @@ def _as_dir(path):
 
 def load_manifest(path) -> Manifest:
     entries = {}
-    with open(path, "r", encoding="ascii") as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic != MANIFEST_MAGIC:
-            raise ValueError(f"{path}: bad manifest magic {magic!r}")
-        for lineno, line in enumerate(fh, start=2):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path} line {lineno}: expected key = value")
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            entries[key] = (lineno, raw)
+    lines = _text_lines(path)
+    magic = next(lines, (1, ""))[1].rstrip("\n")
+    if magic != MANIFEST_MAGIC:
+        raise ValueError(f"{path}: bad manifest magic {magic!r}")
+    for lineno, line in lines:
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"{path} line {lineno}: expected key = value")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        entries[key] = (lineno, raw)
 
-    def value(key, kind=str):
+    def value(key, kind=str, least=None):
         if key not in entries:
             raise ValueError(f"{path}: missing key {key!r}")
         lineno, raw = entries[key]
         try:
-            return kind(raw)
+            v = kind(raw)
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {key}: {exc}") from None
+        if least is not None and v < least:
+            raise ValueError(f"{path} line {lineno}: {key} must be >= {least}, got {v}")
+        return v
 
     return Manifest(
-        classes=value("classes", int),
+        classes=value("classes", int, least=2),
         feature_dim=value("feature_dim", int),
-        views=value("views", int),
+        views=value("views", int, least=1),
         counts={key[len("count_") :]: value(key, int) for key in entries if key.startswith("count_")},
         noise_frac=value("noise_frac", float),
         noise_mode=value("noise_mode"),
@@ -287,78 +306,80 @@ def load_manifest(path) -> Manifest:
 
 def _read_noisy(path) -> dict:
     noisy = {}
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "id,noisy":
-            raise ValueError(f"{path}: unrecognised header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path} line {lineno}: expected 2 fields")
-            noisy[parts[0]] = parts[1] == "1"
+    lines = _text_lines(path)
+    header = next(lines, (1, ""))[1].rstrip("\n")
+    if header != "id,noisy":
+        raise ValueError(f"{path}: unrecognised header {header!r}")
+    for lineno, line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path} line {lineno}: expected 2 fields")
+        noisy[parts[0]] = parts[1] == "1"
     return noisy
 
 
 def _read_rows(path, manifest: Manifest):
-    """The rows of one of the dataset's feature files, checked against the
-    manifest's feature dimension and class count."""
-    rows, dim = read_feature_csv(path)
-    if dim != manifest.feature_dim:
-        raise ValueError(f"{path}: dim {dim} != manifest feature_dim {manifest.feature_dim}")
-    for sample_id, label, *_ in rows:
-        if not 0 <= label < manifest.classes:
-            raise ValueError(f"{path}: row {sample_id} has label {label}, manifest says {manifest.classes} classes")
-    return rows
+    """The columns of one of the dataset's feature files, checked against
+    the manifest's feature dimension and class count."""
+    ids, labels, splits, modalities, matrix = read_feature_csv(path)
+    if matrix.shape[1] != manifest.feature_dim:
+        raise ValueError(f"{path}: dim {matrix.shape[1]} != manifest feature_dim {manifest.feature_dim}")
+    bad = np.flatnonzero((labels < 0) | (labels >= manifest.classes))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{path}: row {ids[i]} has label {labels[i]}, manifest says {manifest.classes} classes")
+    return ids, labels.tolist(), splits, modalities, matrix
 
 
-def _load_sketches(indir: Path, manifest: Manifest):
-    noisy = _read_noisy(indir / "noisy.csv")
-    return [
-        SampleRecord(sample_id, label, split, modality, vec, noisy.get(sample_id, False))
-        for sample_id, label, split, modality, vec in _read_rows(indir / "sketches.csv", manifest)
-    ]
+def _load_sketches(indir: Path, manifest: Manifest, noisy=None):
+    """One record per sketch row; ``noisy`` maps ids to flags (an id it
+    lacks is clean), and None leaves every flag None, unread."""
+    columns = _read_rows(indir / "sketches.csv", manifest)
+    flags = [None if noisy is None else noisy.get(i, False) for i in columns[0]]
+    return list(map(SampleRecord, *columns, flags))
 
 
 def _load_shapes(indir: Path, manifest: Manifest):
     """One record per shape from its view rows, which must agree on label,
     split and modality and be numbered .v00 to the manifest's view count."""
     path = indir / "shapes.csv"
+    ids, *meta_columns, matrix = _read_rows(path, manifest)
     grouped = {}
     meta = {}
-    for sample_id, label, split, modality, vec in _read_rows(path, manifest):
+    for i, (sample_id, row_meta) in enumerate(zip(ids, zip(*meta_columns))):
         base, _, suffix = sample_id.rpartition(".v")
         if not base or not suffix.isdigit():
             raise ValueError(f"{path}: view row id {sample_id!r} lacks a .vNN suffix")
-        row_meta = (label, split, modality)
         if meta.setdefault(base, row_meta) != row_meta:
             raise ValueError(f"{path}: view row {sample_id} disagrees with shape {base} on label, split or modality")
-        grouped.setdefault(base, []).append((int(suffix), vec))
+        grouped.setdefault(base, []).append((int(suffix), i))
     records = []
     for base, items in grouped.items():
-        items.sort(key=lambda t: t[0])
+        items.sort()
         views = [j for j, _ in items]
         if views != list(range(manifest.views)):
             raise ValueError(f"{path}: shape {base} has views {views}, manifest says {manifest.views}")
-        label, split, modality = meta[base]
-        records.append(SampleRecord(base, label, split, modality, np.stack([v for _, v in items]), False))
+        records.append(SampleRecord(base, *meta[base], matrix[[i for _, i in items]], False))
     return records
 
 
 def load_dataset(indir, modality=None) -> Dataset:
     """Read ``manifest.txt`` and the files of one modality: ``"sketch"``
-    reads ``noisy.csv`` and ``sketches.csv``, ``"shape"`` reads
-    ``shapes.csv`` and None reads both.  The manifest's counts are checked
-    for each modality read."""
+    reads ``sketches.csv``, ``"shape"`` reads ``shapes.csv`` and None
+    reads both and ``noisy.csv``, whose flags only this full load joins
+    (a sketch-only load leaves them None).  The manifest's counts are
+    checked for each modality read."""
     if modality not in (None, "sketch", "shape"):
         raise ValueError(f"modality must be 'sketch', 'shape' or None, got {modality!r}")
     indir = Path(indir)
     manifest = load_manifest(indir / "manifest.txt")
     records = []
     if modality in (None, "sketch"):
-        records += _load_sketches(indir, manifest)
+        noisy = _read_noisy(indir / "noisy.csv") if modality is None else None
+        records += _load_sketches(indir, manifest, noisy)
     if modality in (None, "shape"):
         records += _load_shapes(indir, manifest)
     ds = Dataset(manifest, records)
@@ -376,18 +397,13 @@ def save_embeddings(path, records, matrix: np.ndarray) -> None:
     """One row per sample in record order: id,label,split,modality,values."""
     if len(records) != matrix.shape[0]:
         raise ValueError(f"{len(records)} records but {matrix.shape[0]} embedding rows")
-    rows = [(r.sample_id, r.label, r.split, r.modality, matrix[i]) for i, r in enumerate(records)]
-    write_feature_csv(path, rows, matrix.shape[1])
+    write_feature_csv(path, *_columns(records), matrix)
 
 
 def load_embeddings(path):
-    """Returns (ids, labels, splits, modalities, matrix); every value is
-    finite (read_feature_csv rejects the others)."""
-    rows, dim = read_feature_csv(path)
-    if not rows:
+    """read_feature_csv's columns of an embedding file, which must have a
+    row; every value is finite (read_feature_csv rejects the others)."""
+    columns = read_feature_csv(path)
+    if not columns[0]:
         raise ValueError(f"{path}: no embedding rows")
-    ids = [r[0] for r in rows]
-    labels = np.array([r[1] for r in rows], dtype=np.int64)
-    splits = [r[2] for r in rows]
-    modalities = [r[3] for r in rows]
-    return ids, labels, splits, modalities, np.stack([r[4] for r in rows])
+    return columns

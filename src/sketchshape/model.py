@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _text_lines
 from .losses import Classifier
 from .ops import l2_normalize_rows, normalize_rows_fwd, require_finite
 from .rng import Rng
@@ -312,35 +313,32 @@ def _read_checkpoint(path):
     the file and the line."""
     meta = {}
     matrices = {}
-    with open(path, "r", encoding="ascii") as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        lines = enumerate(fh, start=2)
-        for lineno, line in lines:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] != "matrix":
-                meta[parts[0]] = parts[1] if len(parts) > 1 else ""
-                continue
-            header = f"{path} line {lineno}"
-            if len(parts) != 4 or not (parts[2].isdigit() and parts[3].isdigit()):
-                raise ValueError(f"{header}: expected 'matrix <name> <rows> <cols>', got {line.strip()!r}")
-            name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-            data = []  # grows with the rows read, never with the header's count
-            for r in range(rows):
-                lineno, line = next(lines, (lineno + 1, ""))
-                vals = line.split()
-                if len(vals) != cols:
-                    raise ValueError(
-                        f"{path} line {lineno}: matrix {name} row {r} has {len(vals)} values, expected {cols}"
-                    )
-                try:
-                    data.append([float(v) for v in vals])
-                except ValueError as exc:
-                    raise ValueError(f"{path} line {lineno}: {exc}") from None
-            matrices[name] = require_finite(np.array(data).reshape(rows, cols), f"{header}: matrix {name}")
+    lines = _text_lines(path)
+    magic = next(lines, (1, ""))[1].rstrip("\n")
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
+    for lineno, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] != "matrix":
+            meta[parts[0]] = parts[1] if len(parts) > 1 else ""
+            continue
+        header = f"{path} line {lineno}"
+        if len(parts) != 4 or not (parts[2].isdigit() and parts[3].isdigit()):
+            raise ValueError(f"{header}: expected 'matrix <name> <rows> <cols>', got {line.strip()!r}")
+        name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+        data = []  # grows with the rows read, never with the header's count
+        for r in range(rows):
+            lineno, line = next(lines, (lineno + 1, ""))
+            vals = line.split()
+            if len(vals) != cols:
+                raise ValueError(f"{path} line {lineno}: matrix {name} row {r} has {len(vals)} values, expected {cols}")
+            try:
+                data.append([float(v) for v in vals])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+        matrices[name] = require_finite(np.array(data).reshape(rows, cols), f"{header}: matrix {name}")
     return meta.pop("kind", ""), meta, matrices
 
 

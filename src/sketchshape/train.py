@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .data import _text_lines
 from .losses import Classifier, MarginParams, _margin_core, _uncertainty_core
 from .model import (
     _prepare_sketches,
@@ -109,20 +110,19 @@ _FIELD_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 def load_config(path, base: TrainConfig = None) -> TrainConfig:
     """key=value text file; unknown keys are an error, '#' starts a comment."""
     values = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path} line {lineno}: expected key=value, got {line.strip()!r}")
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"{path} line {lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _parse_field(key, _FIELD_TYPES[key], raw)
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {key}: {exc}") from None
+    for lineno, line in _text_lines(path):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"{path} line {lineno}: expected key=value, got {line.strip()!r}")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key not in _FIELD_TYPES:
+            raise ValueError(f"{path} line {lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _parse_field(key, _FIELD_TYPES[key], raw)
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {key}: {exc}") from None
     try:
         return replace(base, **values) if base is not None else TrainConfig(**values)
     except ValueError as exc:

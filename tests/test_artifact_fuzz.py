@@ -2,11 +2,13 @@
 through the CLI.
 
 Each example damages one file that a command reads besides the dataset, by
-truncating it at a byte or by replacing one field (whitespace-separated in
-checkpoints, '='-separated in configs, comma-separated in embedding CSVs),
-then runs every command that reads that file.  A command must succeed or
-fail with exit code 2 and a one-line ``error:`` message; it must never
-raise, and every checkpoint a successful command writes must load.
+truncating it at a byte, by replacing one field (whitespace-separated in
+checkpoints, '='-separated in configs, comma-separated in embedding CSVs)
+or by inserting a non-ASCII character, then runs every command that reads
+that file.  A command must succeed or fail with exit code 2 and a one-line
+``error:`` message (naming the damaged file, for a non-ASCII byte); it
+must never raise, and every checkpoint a successful command writes must
+load.
 """
 
 import contextlib
@@ -87,7 +89,7 @@ def _commands(name, data, here: Path, out: Path):
     ]
 
 
-def _run_all(valid, name, damaged: bytes):
+def _run_all(valid, name, damaged: bytes, named=False):
     with tempfile.TemporaryDirectory() as tmp:
         here = Path(tmp)
         for other, content in valid["files"].items():
@@ -102,6 +104,7 @@ def _run_all(valid, name, damaged: bytes):
             assert "Traceback" not in err
             if code == 2:
                 assert err.startswith("error:") and len(err.splitlines()) == 1, err
+                assert not named or name in err, err
             else:
                 for ckpt in out.rglob("*.ckpt"):
                     load_checkpoint(ckpt)
@@ -113,6 +116,15 @@ def _run_all(valid, name, damaged: bytes):
 def test_truncated_file(valid, name, cut):
     content = valid["files"][name]
     _run_all(valid, name, content[: int(cut * len(content))])
+
+
+@pytest.mark.parametrize("name", FILES)
+@FUZZ
+@given(where=st.floats(0.0, 1.0))
+def test_inserted_non_ascii_bytes(valid, name, where):
+    content = valid["files"][name]
+    at = int(where * len(content))
+    _run_all(valid, name, content[:at] + b"\xc3\xa9" + content[at:], named=True)
 
 
 @pytest.mark.parametrize("name", [n for n in FILES if n != "tiny.cfg"])

@@ -213,6 +213,55 @@ class TestBadInputs:
                 "--out", str(tmp_path / "run"), "--config", str(pipeline["cfg"])]
         self._fails(argv, capsys, rf"shapes.csv line 7: row {re.escape(fields[0])} has non-finite values")
 
+    @pytest.mark.parametrize(
+        "line, edit, pattern",
+        [
+            (4, "views = 0", r"manifest.txt line 4: views must be >= 1, got 0"),
+            (2, "classes = 1", r"manifest.txt line 2: classes must be >= 2, got 1"),
+        ],
+        ids=["views-0", "classes-1"],
+    )
+    def test_manifest_size_out_of_range_exits_2(self, pipeline, tmp_path, capsys, line, edit, pattern):
+        """Sizes a trainer would reject are the manifest's fault; every
+        label is set to 0 so that one class is all the rows claim."""
+        data = shutil.copytree(pipeline["data"], tmp_path / "data")
+        lines = (data / "manifest.txt").read_text().splitlines()
+        lines[line - 1] = edit
+        (data / "manifest.txt").write_text("\n".join(lines) + "\n")
+        header, *rows = (data / "sketches.csv").read_text().splitlines()
+        rows = [",".join([f[0], "0", *f[2:]]) for f in (row.split(",") for row in rows)]
+        (data / "sketches.csv").write_text("\n".join([header, *rows]) + "\n")
+        self._fails(self._train_sketch(data, tmp_path, pipeline["cfg"]), capsys, pattern)
+
+    @pytest.mark.parametrize("name", ["manifest.txt", "sketches.csv", "sketch.ckpt", "desk.cfg"])
+    def test_non_ascii_byte_names_the_file_and_line(self, pipeline, tmp_path, capsys, name):
+        """Every input file is ASCII, a config's comments included."""
+        data = shutil.copytree(pipeline["data"], tmp_path / "data")
+        ckpt = shutil.copy(pipeline["run"] / "sketch.ckpt", tmp_path / "sketch.ckpt")
+        cfg = shutil.copy(pipeline["cfg"], tmp_path / "desk.cfg")
+        path = Path({"sketch.ckpt": ckpt, "desk.cfg": cfg}.get(name, data / name))
+        lines = path.read_bytes().splitlines(keepends=True)
+        if name == "desk.cfg":
+            lines[2] = lines[2].rstrip(b"\n") + b"  # r\xc3\xa9sum\xc3\xa9\n"
+        else:
+            lines[2] = lines[2][:3] + b"\xc3\xa9" + lines[2][3:]
+        path.write_bytes(b"".join(lines))
+        if name == "sketch.ckpt":
+            argv = ["train-shape", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(tmp_path / "run"),
+                    "--config", str(cfg)]
+        else:
+            argv = self._train_sketch(data, tmp_path, cfg)
+        self._fails(argv, capsys, rf"{re.escape(name)} line 3: non-ASCII byte 0xc3")
+
+    def test_label_beyond_int64_in_embeddings_exits_2(self, pipeline, tmp_path, capsys):
+        lines = pipeline["queries"].read_text().splitlines()
+        fields = lines[2].split(",")
+        lines[2] = ",".join([fields[0], "9" * 20, *fields[2:]])
+        bad = tmp_path / "queries.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = ["eval", "--queries", str(bad), "--gallery", str(pipeline["gallery"]), "--out", str(tmp_path / "e")]
+        self._fails(argv, capsys, r"queries.csv line 3: ")
+
 
 class TestEachCommandReadsItsModality:
     """A command parses the feature file of the modality it uses, once."""
@@ -229,11 +278,14 @@ class TestEachCommandReadsItsModality:
         ids=["train-sketch", "embed-sketch", "report-uncertainty", "train-shape", "embed-shape"],
     )
     def test_reads_only_its_feature_file(self, pipeline, tmp_path, monkeypatch, command, expected):
+        """No command opens noisy.csv: it is deleted here."""
+        data = shutil.copytree(pipeline["data"], tmp_path / "data")
+        (data / "noisy.csv").unlink()
         opened = []
         read = data_mod.read_feature_csv
         monkeypatch.setattr(data_mod, "read_feature_csv", lambda path: opened.append(path.name) or read(path))
         argv = [arg.format(cfg=pipeline["cfg"], run=pipeline["run"]) for arg in command]
-        assert main(argv + ["--data", str(pipeline["data"]), "--out", str(tmp_path / "out")]) == 0
+        assert main(argv + ["--data", str(data), "--out", str(tmp_path / "out")]) == 0
         assert opened == expected
 
 

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sketchshape.data import (
     generate,
@@ -145,8 +148,38 @@ class TestDatasetFiles:
     def test_finite_values_with_overflowing_sum_accepted(self, tmp_path):
         path = tmp_path / "feat.csv"
         path.write_text("id,label,split,modality,v0,v1\nx,0,train,sketch,1e308,1e308\n")
-        rows, _ = read_feature_csv(path)
-        np.testing.assert_array_equal(rows[0][4], [1e308, 1e308])
+        *_, matrix = read_feature_csv(path)
+        np.testing.assert_array_equal(matrix[0], [1e308, 1e308])
+
+    def test_header_only_file_reads_as_empty_columns(self, tmp_path):
+        path = tmp_path / "feat.csv"
+        path.write_text("id,label,split,modality,v0,v1,v2\n")
+        ids, labels, splits, modalities, matrix = read_feature_csv(path)
+        assert ids == splits == modalities == []
+        assert labels.dtype == np.int64 and labels.shape == (0,)
+        assert matrix.dtype == np.float64 and matrix.shape == (0, 3)
+        with pytest.raises(ValueError, match=r"feat.csv: no embedding rows"):
+            load_embeddings(path)
+
+    def test_non_ascii_byte_reports_file_and_line(self, tmp_path):
+        path = tmp_path / "feat.csv"
+        path.write_bytes(b"id,label,split,modality,v0\nx,0,train,sketch,1.0\ny,0,tr\xc3\xa9in,sketch,2.0\n")
+        with pytest.raises(ValueError, match=r"feat.csv line 3: non-ASCII byte 0xc3"):
+            read_feature_csv(path)
+
+    def test_crlf_file_reads_like_lf(self, tmp_path):
+        text = "id,label,split,modality,v0,v1\nx,0,train,sketch,1.0,2.0\ny,1,test,shape,-0.0,5e-324\n"
+        (tmp_path / "lf.csv").write_bytes(text.encode("ascii"))
+        (tmp_path / "crlf.csv").write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+        lf, crlf = read_feature_csv(tmp_path / "lf.csv"), read_feature_csv(tmp_path / "crlf.csv")
+        assert lf[0] == crlf[0] == ["x", "y"] and lf[2:4] == crlf[2:4]
+        assert lf[1].tolist() == crlf[1].tolist() and lf[4].tobytes() == crlf[4].tobytes()
+
+    def test_label_beyond_int64_reports_line(self, tmp_path):
+        path = tmp_path / "feat.csv"
+        path.write_text("id,label,split,modality,v0\nx,0,train,sketch,1.0\ny,99999999999999999999,train,sketch,2.0\n")
+        with pytest.raises(ValueError, match=r"feat.csv line 3: "):
+            read_feature_csv(path)
 
     def test_manifest_missing_key_named(self, tmp_path):
         save_dataset(small_dataset(seed=9), tmp_path)
@@ -178,9 +211,11 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match="manifest count sketch_test"):
             load_dataset(tmp_path, "sketch")
 
-    @pytest.mark.parametrize("modality, skipped", [("sketch", ["shapes.csv"]),
+    @pytest.mark.parametrize("modality, skipped", [("sketch", ["shapes.csv", "noisy.csv"]),
                                                    ("shape", ["sketches.csv", "noisy.csv"])])
     def test_one_modality_reads_only_its_files(self, tmp_path, modality, skipped):
+        """Only the full load reads noisy.csv: a sketch-only load leaves
+        every flag None (not read); shapes are always clean."""
         ds = small_dataset(seed=9, noise_frac=0.3)
         save_dataset(ds, tmp_path)
         for name in skipped:
@@ -188,7 +223,7 @@ class TestDatasetFiles:
         loaded = load_dataset(tmp_path, modality)
         expected = [r for r in ds.records if r.modality == modality]
         assert [(r.sample_id, r.label, r.split, r.noisy) for r in loaded.records] == [
-            (r.sample_id, r.label, r.split, r.noisy) for r in expected
+            (r.sample_id, r.label, r.split, None if modality == "sketch" else r.noisy) for r in expected
         ]
         for got, want in zip(loaded.records, expected):
             np.testing.assert_array_equal(got.features, want.features)
@@ -213,6 +248,21 @@ class TestDatasetFiles:
         (tmp_path / name).write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=pattern):
             load_dataset(tmp_path)
+
+    def test_shuffled_view_rows_load_to_the_same_records(self, tmp_path):
+        save_dataset(small_dataset(seed=15, views=4), tmp_path / "a")
+        save_dataset(small_dataset(seed=15, views=4), tmp_path / "b")
+        header, *rows = (tmp_path / "b" / "shapes.csv").read_text().splitlines()
+        Rng(16).shuffle(rows)
+        (tmp_path / "b" / "shapes.csv").write_text("\n".join([header, *rows]) + "\n")
+        a, b = (load_dataset(tmp_path / sub, "shape").records for sub in ("a", "b"))
+        assert sorted(r.sample_id for r in b) == sorted(r.sample_id for r in a)
+        by_id = {r.sample_id: r for r in b}
+        for r in a:
+            other = by_id[r.sample_id]
+            assert (other.label, other.split, other.modality, other.noisy) == (r.label, r.split, r.modality, False)
+            assert type(other.label) is int
+            assert other.features.shape == (4, 8) and other.features.tobytes() == r.features.tobytes()
 
     def test_unknown_modality_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="modality"):
@@ -257,22 +307,48 @@ class TestEmbeddingFiles:
             read_feature_csv(path)
 
     def test_write_read_feature_csv(self, tmp_path):
-        rows = [("a", 0, "train", "sketch", np.array([0.1, -2.0]))]
+        matrix = np.array([[0.1, -2.0]])
         path = tmp_path / "f.csv"
-        write_feature_csv(path, rows, 2)
-        loaded, dim = read_feature_csv(path)
-        assert dim == 2
-        assert loaded[0][0] == "a"
-        np.testing.assert_array_equal(loaded[0][4], rows[0][4])
+        write_feature_csv(path, ["a"], [0], ["train"], ["sketch"], matrix)
+        ids, *_, loaded = read_feature_csv(path)
+        assert loaded.shape[1] == 2
+        assert ids[0] == "a"
+        np.testing.assert_array_equal(loaded[0], matrix[0])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_write_feature_csv_bytes(self, tmp_path, dtype):
         values = np.array([-0.0, 5e-324, 1e-05, 1e16, 0.1, -2.5, 1 / 3], dtype=dtype)
         path = tmp_path / "f.csv"
-        write_feature_csv(path, [("a", 1, "test", "shape", values), ("b", 0, "train", "shape", values[::-1])], 7)
+        matrix = np.stack([values, values[::-1]])
+        write_feature_csv(path, ["a", "b"], [1, 0], ["test", "train"], ["shape", "shape"], matrix)
         lines = path.read_text().splitlines()
         assert lines[0] == "id,label,split,modality," + ",".join(f"v{i}" for i in range(7))
         assert lines[1] == "a,1,test,shape," + ",".join(repr(float(v)) for v in values)
         assert lines[2] == "b,0,train,shape," + ",".join(repr(float(v)) for v in values[::-1])
         if dtype is np.float64:
             assert lines[1] == "a,1,test,shape,-0.0,5e-324,1e-05,1e+16,0.1,-2.5,0.3333333333333333"
+
+
+# Finite float64 values, with the edge cases of repr round-trips mixed in.
+EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.7e308, -1.7e308, 0.1, 1e16)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(
+    matrix=st.integers(1, 5).flatmap(
+        lambda dim: hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 6), st.just(dim)),
+            elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_VALUES)),
+        )
+    )
+)
+def test_feature_csv_round_trip_is_bitwise(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("roundtrip") / "f.csv"
+    n = matrix.shape[0]
+    ids, labels = [f"s{i}" for i in range(n)], list(range(n))
+    splits, modalities = ["train"] * n, ["sketch"] * n
+    write_feature_csv(path, ids, labels, splits, modalities, matrix)
+    got = read_feature_csv(path)
+    assert got[0] == ids and got[1].tolist() == labels and got[2] == splits and got[3] == modalities
+    assert got[4].shape == matrix.shape and got[4].tobytes() == matrix.tobytes()

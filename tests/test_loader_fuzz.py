@@ -1,9 +1,11 @@
 """Property-based fuzzing of the dataset loaders through the CLI.
 
 Each example damages one file of a tiny valid dataset, by truncating it at
-a byte or by replacing one comma- or '='-separated field, then runs every
-command that reads a dataset.  A command must succeed or fail with exit
-code 2 and a one-line ``error:`` message; it must never raise.
+a byte, by replacing one comma- or '='-separated field or by inserting a
+non-ASCII character, then runs every command that reads a dataset.  A
+command must succeed or fail with exit code 2 and a one-line ``error:``
+message (naming the damaged file, for a non-ASCII byte); it must never
+raise.
 """
 
 import contextlib
@@ -60,7 +62,7 @@ def _commands(data, run, cfg, out):
     ]
 
 
-def _run_all(valid, name, damaged: bytes):
+def _run_all(valid, name, damaged: bytes, named=False):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         data = shutil.copytree(valid["data"], tmp / "data")
@@ -74,6 +76,7 @@ def _run_all(valid, name, damaged: bytes):
             assert "Traceback" not in err
             if code == 2:
                 assert err.startswith("error:") and len(err.splitlines()) == 1, err
+                assert not named or name in err, err
 
 
 @pytest.mark.parametrize("name", DATASET_FILES)
@@ -82,6 +85,15 @@ def _run_all(valid, name, damaged: bytes):
 def test_truncated_file(valid, name, cut):
     content = valid["files"][name]
     _run_all(valid, name, content[: int(cut * len(content))])
+
+
+@pytest.mark.parametrize("name", DATASET_FILES)
+@FUZZ
+@given(where=st.floats(0.0, 1.0))
+def test_inserted_non_ascii_bytes(valid, name, where):
+    content = valid["files"][name]
+    at = int(where * len(content))
+    _run_all(valid, name, content[:at] + b"\xc3\xa9" + content[at:], named=True)
 
 
 @pytest.mark.parametrize("name", DATASET_FILES)
