@@ -18,12 +18,21 @@ bitwise; a non-ASCII byte is an error naming the file and the line):
 
 A feature file (the two above, and the embedding files) is held in memory
 as five columns, from parse to write: ids, labels (int64), splits and
-modalities, and one float64 rows x dim matrix.
+modalities, and one float64 rows x dim matrix.  It is read in blocks of
+rows: numpy's C parser reads a block's values, which gives float()'s bits,
+and a block with any fault is re-read line by line with float(), so the
+error names the file and the line of the first fault.  It is written in
+blocks of rows too, formatted in a pool of worker processes when the write
+is large and the process may use more than one CPU; the bytes are the same
+either way.
 """
 
 import math
+import os
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +47,11 @@ AMBIGUOUS_NOISE_STD = 0.3
 VIEW_NOISE_STD = 0.1
 
 NOISE_MODES = ("ambiguous", "label")
+
+# Feature files are parsed and formatted in blocks of this many rows, and a
+# write of at least _POOL_MIN_VALUES values may use a pool of processes.
+_BLOCK_ROWS = 256
+_POOL_MIN_VALUES = 1 << 18
 
 
 @dataclass
@@ -171,12 +185,59 @@ def _feature_header(dim: int) -> str:
 
 def write_feature_csv(path, ids, labels, splits, modalities, matrix) -> None:
     """One row per sample: the four text columns, then the row of
-    ``matrix`` (rows x dim) formatted one row at a time."""
+    ``matrix`` (rows x dim) in repr.  Rows are formatted in blocks; a
+    write of at least _POOL_MIN_VALUES values, in a process that may run
+    on more than one CPU, formats them in a pool of worker processes and
+    writes the same bytes."""
+    rows = matrix.shape[0]
+    lengths = [len(column) for column in (ids, labels, splits, modalities)]
+    if lengths != [rows] * 4:
+        raise ValueError(f"ids, labels, splits and modalities have {lengths} entries, matrix has {rows} rows")
+    blocks = (
+        tuple(column[start : start + _BLOCK_ROWS] for column in (ids, labels, splits, modalities, matrix))
+        for start in range(0, rows, _BLOCK_ROWS)
+    )
+    workers = _usable_cpus()
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_feature_header(matrix.shape[1]) + "\n")
-        for sample_id, label, split, modality, vec in zip(ids, labels, splits, modalities, matrix):
-            values = ",".join(map(repr, vec.tolist()))
-            fh.write(f"{sample_id},{label},{split},{modality},{values}\n")
+        if workers > 1 and matrix.size >= _POOL_MIN_VALUES:
+            _write_pooled(fh, blocks, workers)
+        else:
+            for block in blocks:
+                fh.write(_format_rows(*block))
+
+
+def _format_rows(ids, labels, splits, modalities, matrix) -> str:
+    """The CSV text of a block of rows, each value in repr."""
+    return "".join(
+        f"{sample_id},{label},{split},{modality},{','.join(map(repr, values))}\n"
+        for sample_id, label, split, modality, values in zip(ids, labels, splits, modalities, matrix.tolist())
+    )
+
+
+def _write_pooled(fh, blocks, workers) -> None:
+    """Write _format_rows of each block to fh in order, formatted by
+    forked workers with at most 2 * workers blocks in flight.  Forking
+    spares each worker the import of numpy; the workers only format the
+    floats and strings they are sent and take no lock the parent held."""
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        pending = deque()
+        for block in blocks:
+            pending.append(pool.apply_async(_format_rows, block))
+            if len(pending) > 2 * workers:
+                fh.write(pending.popleft().get())
+        for result in pending:
+            fh.write(result.get())
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on; 1 where the platform
+    does not say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _text_lines(path):
@@ -202,11 +263,46 @@ def read_feature_csv(path):
     dim = len(cols) - 4
     if cols[4:] != [f"v{i}" for i in range(dim)]:
         raise ValueError(f"{path}: feature columns must be v0..v{dim - 1}")
-    ids, splits, modalities = [], [], []
-    labels, values = array("q"), array("d")
-    for lineno, line in lines:
-        if line == "\n":
-            continue
+    columns = ([], array("q"), [], [], array("d"))
+    rows = ((lineno, line) for lineno, line in lines if line != "\n")
+    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
+        _read_block(path, block, dim, columns)
+    ids, labels, splits, modalities, values = columns
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dim)
+    return ids, np.frombuffer(labels, dtype=np.int64), splits, modalities, matrix
+
+
+def _read_block(path, block, dim, columns) -> None:
+    """Append a block of (line number, line) rows to columns, its values
+    parsed by one np.loadtxt call.  On any fault, or on text where numpy
+    and float() could disagree, the block is re-read by _read_lines, which
+    accepts what float() accepts and reports the first fault by line."""
+    fields = [line.split(",", 4) for _, line in block]
+    try:
+        labels = array("q", [int(f[1]) for f in fields])
+        rests = [f[4] for f in fields]
+        # np.loadtxt skips an empty line (and warns on a block of them),
+        # and strips \x1c-\x1f around a number, which float() rejects.
+        if "\n" in rests or "" in rests or any(c in rest for rest in rests for c in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("a block numpy could read unlike float()")
+        values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
+    except (IndexError, ValueError, OverflowError):
+        return _read_lines(path, block, dim, columns)
+    if values.shape != (len(block), dim) or not np.isfinite(values).all():
+        return _read_lines(path, block, dim, columns)
+    ids, all_labels, splits, modalities, all_values = columns
+    ids.extend(f[0] for f in fields)
+    all_labels.extend(labels)
+    splits.extend(f[2] for f in fields)
+    modalities.extend(f[3] for f in fields)
+    all_values.frombytes(values.tobytes())
+
+
+def _read_lines(path, block, dim, columns) -> None:
+    """Append a block of (line number, line) rows to columns one line at a
+    time with float(); raises with the line of the first fault."""
+    ids, labels, splits, modalities, values = columns
+    for lineno, line in block:
         parts = line.rstrip("\n").split(",")
         if len(parts) != 4 + dim:
             raise ValueError(f"{path} line {lineno}: expected {4 + dim} fields, got {len(parts)}")
@@ -223,8 +319,6 @@ def read_feature_csv(path):
         splits.append(parts[2])
         modalities.append(parts[3])
         values.extend(row)
-    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dim)
-    return ids, np.frombuffer(labels, dtype=np.int64), splits, modalities, matrix
 
 
 def _columns(records):
@@ -233,6 +327,17 @@ def _columns(records):
 
 
 def save_dataset(ds: Dataset, outdir) -> None:
+    """Write the four dataset files of a full dataset: one with both
+    modalities and every sketch's noisy flag read.  A partial dataset (a
+    single-modality load_dataset) raises ValueError before any file is
+    opened."""
+    sketches = [r for r in ds.records if r.modality == "sketch"]
+    shapes = [r for r in ds.records if r.modality == "shape"]
+    missing = [f"{kind} records" for kind, records in (("sketch", sketches), ("shape", shapes)) if not records]
+    if any(r.noisy is None for r in sketches):
+        missing.append("the noisy flags of the sketches (noisy.csv was not read)")
+    if missing:
+        raise ValueError(f"cannot save a partial dataset: it lacks {' and '.join(missing)}")
     outdir = _as_dir(outdir)
     m = ds.manifest
     with open(outdir / "manifest.txt", "w", encoding="ascii") as fh:
@@ -246,10 +351,8 @@ def save_dataset(ds: Dataset, outdir) -> None:
         fh.write(f"noise_mode = {m.noise_mode}\n")
         fh.write(f"seed = {m.seed}\n")
 
-    sketches = [r for r in ds.records if r.modality == "sketch"]
     features = np.array([r.features for r in sketches]).reshape(-1, m.feature_dim)
     write_feature_csv(outdir / "sketches.csv", *_columns(sketches), features)
-    shapes = [r for r in ds.records if r.modality == "shape"]
     ids = [f"{r.sample_id}.v{j:02d}" for r in shapes for j in range(len(r.features))]
     views = [r for r in shapes for _ in r.features]
     features = np.array([r.features for r in shapes]).reshape(-1, m.feature_dim)

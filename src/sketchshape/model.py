@@ -70,8 +70,9 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
     return a, (pres, acts)
 
 
-def mlp_backward(mlp: Mlp, cache, dout: np.ndarray):
-    """Returns (dinput, grads) with grads ordered like Mlp.parameters()."""
+def mlp_backward(mlp: Mlp, cache, dout: np.ndarray, input_grad: bool = True):
+    """Returns (dinput, grads) with grads ordered like Mlp.parameters();
+    dinput is None when input_grad is false."""
     pres, acts = cache
     last = len(mlp.layers) - 1
     grads = [None] * (2 * len(mlp.layers))
@@ -81,7 +82,7 @@ def mlp_backward(mlp: Mlp, cache, dout: np.ndarray):
             g = g * (pres[i] > 0.0)
         grads[2 * i] = g.T @ acts[i]
         grads[2 * i + 1] = g.sum(axis=0)
-        g = g @ mlp.layers[i][0]
+        g = g @ mlp.layers[i][0] if i or input_grad else None
     return g, grads
 
 
@@ -174,7 +175,7 @@ def sketch_backward(model: SketchModel, cache, dmu: np.ndarray, dlogvar: np.ndar
     dmu, dlogvar = unit_scale_backward(ucache, dmu, dlogvar)
     dh_mu, mu_grads = mlp_backward(model.mu_head, mcache, dmu)
     dh_lv, lv_grads = mlp_backward(model.logvar_head, vcache, dlogvar)
-    _, backbone_grads = mlp_backward(model.backbone, bcache, dh_mu + dh_lv)
+    _, backbone_grads = mlp_backward(model.backbone, bcache, dh_mu + dh_lv, input_grad=False)
     return backbone_grads + mu_grads + lv_grads
 
 
@@ -223,7 +224,7 @@ def shape_backward(model: ShapeModel, cache, df: np.ndarray):
     bcache, pcache, n, v = cache
     dpooled, proj_grads = mlp_backward(model.proj, pcache, df)
     dviews = np.repeat(dpooled / v, v, axis=0)
-    _, backbone_grads = mlp_backward(model.backbone, bcache, dviews)
+    _, backbone_grads = mlp_backward(model.backbone, bcache, dviews, input_grad=False)
     return backbone_grads + proj_grads
 
 

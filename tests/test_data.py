@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sketchshape import data
 from sketchshape.data import (
+    _BLOCK_ROWS,
+    _POOL_MIN_VALUES,
     generate,
     load_dataset,
     load_embeddings,
@@ -268,6 +271,17 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match="modality"):
             load_dataset(tmp_path, "audio")
 
+    @pytest.mark.parametrize(
+        "modality, missing",
+        [("sketch", r"lacks shape records and the noisy flags of the sketches"), ("shape", r"lacks sketch records$")],
+    )
+    def test_partial_dataset_not_saved(self, tmp_path, modality, missing):
+        save_dataset(small_dataset(seed=9, noise_frac=0.3), tmp_path / "full")
+        partial = load_dataset(tmp_path / "full", modality)
+        with pytest.raises(ValueError, match=r"cannot save a partial dataset: it " + missing):
+            save_dataset(partial, tmp_path / "copy")
+        assert not (tmp_path / "copy").exists()
+
 
 class TestEmbeddingFiles:
     def test_round_trip(self, tmp_path):
@@ -328,6 +342,41 @@ class TestEmbeddingFiles:
         if dtype is np.float64:
             assert lines[1] == "a,1,test,shape,-0.0,5e-324,1e-05,1e+16,0.1,-2.5,0.3333333333333333"
 
+    @pytest.mark.parametrize("rows", [2, 2 * _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("short", range(4))
+    def test_write_feature_csv_checks_column_lengths(self, tmp_path, rows, short):
+        columns = [[f"s{i}" for i in range(rows)], [0] * rows, ["train"] * rows, ["sketch"] * rows]
+        del columns[short][rows // 2]
+        path = tmp_path / "f.csv"
+        with pytest.raises(ValueError, match=rf"matrix has {rows} rows"):
+            write_feature_csv(path, *columns, np.zeros((rows, 2)))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pooled_write_has_the_serial_bytes(self, tmp_path, monkeypatch, dtype):
+        """A write above the pool's size floor gives the same bytes from a
+        pool as in-process, and a one-CPU process never starts the pool."""
+        rows = _POOL_MIN_VALUES // 8 + 3
+        matrix = Rng(17).uniform_matrix(rows, 8, -1.0, 1.0)
+        matrix[:, :4] = [-0.0, 5e-324, 1e16, 0.1]
+        matrix = matrix.astype(dtype)
+        columns = [f"s{i}" for i in range(rows)], list(range(rows)), ["train"] * rows, ["shape"] * rows
+        pooled = []
+        write_pooled = data._write_pooled
+        monkeypatch.setattr(data, "_write_pooled", lambda *args: pooled.append(1) or write_pooled(*args))
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+        write_feature_csv(tmp_path / "pooled.csv", *columns, matrix)
+        assert pooled == [1]
+
+        def no_pool(*args):
+            raise AssertionError("a one-CPU write started a pool")
+
+        monkeypatch.setattr(data, "_write_pooled", no_pool)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 1)
+        write_feature_csv(tmp_path / "serial.csv", *columns, matrix)
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert read_feature_csv(tmp_path / "pooled.csv")[4].tobytes() == matrix.astype(np.float64).tobytes()
+
 
 # Finite float64 values, with the edge cases of repr round-trips mixed in.
 EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.7e308, -1.7e308, 0.1, 1e16)
@@ -352,3 +401,60 @@ def test_feature_csv_round_trip_is_bitwise(tmp_path_factory, matrix):
     got = read_feature_csv(path)
     assert got[0] == ids and got[1].tolist() == labels and got[2] == splits and got[3] == modalities
     assert got[4].shape == matrix.shape and got[4].tobytes() == matrix.tobytes()
+
+
+# Field values on which numpy's parser and float() could part ways, and
+# faults: a label beyond int64, extra and split fields (None drops one).
+READER_TOKENS = (
+    "1_0", " 1.5", "+.5", "-0.0", "5e-324", "1e400", "nan", "inf", "", "0x1p3", "1\x1c", "\x1f2",
+    "9223372036854775808", "1.0,2.0", "3\n4", None,
+)
+
+# Rows an edit lands on (modulo the row count): the last row, and either
+# side of the first block boundaries.
+EDITED_ROWS = (-1, 2 * _BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS, _BLOCK_ROWS - 1, 1, 0)
+
+
+def _read_outcome(path):
+    """read_feature_csv's columns as bytes and lists, or its error."""
+    try:
+        ids, labels, splits, modalities, matrix = read_feature_csv(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return ids, labels.tobytes(), splits, modalities, matrix.shape, matrix.tobytes()
+
+
+def _refuse(*args, **kwargs):
+    raise ValueError("numpy parser disabled")
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    rows=st.one_of(st.integers(_BLOCK_ROWS, 2 * _BLOCK_ROWS + 20), st.integers(1, 8)),
+    edits=st.lists(
+        st.tuples(st.sampled_from(EDITED_ROWS), st.integers(0, 6), st.sampled_from(READER_TOKENS)),
+        max_size=3,
+    ),
+)
+@example(dim=1, rows=1, edits=[(0, 4, "")])  # np.loadtxt warns on a block with no values
+@example(dim=2, rows=2 * _BLOCK_ROWS + 1, edits=[(_BLOCK_ROWS, 1, "9223372036854775808")])
+@example(dim=2, rows=2 * _BLOCK_ROWS + 1, edits=[(2 * _BLOCK_ROWS, 5, "1\x1c"), (_BLOCK_ROWS + 1, 4, "nan")])
+@pytest.mark.filterwarnings("error")
+def test_block_reader_matches_line_loop(tmp_path_factory, dim, rows, edits):
+    """The block reader gives the per-line loop's columns bitwise, or its
+    error message, also when the first fault lies in a later block."""
+    lines = [[f"s{i}", str(i % 3), "train", "sketch", *(repr((i * 7 + c) / 3) for c in range(dim))] for i in range(rows)]
+    for row, column, token in edits:
+        fields = lines[row % rows]
+        if token is None:
+            del fields[column % len(fields)]
+        else:
+            fields[column % len(fields)] = token
+    path = tmp_path_factory.mktemp("blocks") / "f.csv"
+    header = "id,label,split,modality," + ",".join(f"v{i}" for i in range(dim))
+    path.write_text("\n".join([header, *map(",".join, lines)]) + "\n", encoding="ascii")
+    got = _read_outcome(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", _refuse)
+        assert got == _read_outcome(path)

@@ -21,6 +21,7 @@ from sketchshape.model import (
     init_sketch_model,
     load_checkpoint,
     load_sketch_checkpoint,
+    mlp_backward,
     mlp_forward,
     reparameterize,
     save_shape_checkpoint,
@@ -66,6 +67,16 @@ class TestMlpForward:
         mlp = init_mlp(Rng(0), [5, 4])
         with pytest.raises(ValueError, match="input dim"):
             mlp_forward(mlp, np.zeros((2, 6)))
+
+    def test_backward_without_input_grad_gives_the_same_parameter_grads(self):
+        rng = Rng(22)
+        mlp = init_mlp(rng, [5, 7, 4])
+        _, cache = mlp_forward(mlp, rng.uniform_matrix(3, 5, -2.0, 2.0))
+        dout = rng.uniform_matrix(3, 4, -1.0, 1.0)
+        dinput, grads = mlp_backward(mlp, cache, dout)
+        none, skipped = mlp_backward(mlp, cache, dout, input_grad=False)
+        assert dinput.shape == (3, 5) and none is None
+        assert [g.tobytes() for g in skipped] == [g.tobytes() for g in grads]
 
 
 class TestEncodeSketch:
