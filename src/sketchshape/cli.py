@@ -61,19 +61,10 @@ def cmd_gen_data(args) -> int:
         f"noise_frac = {args.noise_frac}, noise_mode = {args.noise_mode}"
     )
     rng = Rng(args.seed)
-    ds = data_mod.generate(
-        args.classes,
-        args.train_per_class,
-        args.test_per_class,
-        args.dim,
-        args.views,
-        args.noise_frac,
-        args.noise_mode,
-        rng,
-        seed=args.seed,
-    )
+    ds = data_mod.generate(args.classes, args.train_per_class, args.test_per_class, args.dim, args.views,
+                           args.noise_frac, args.noise_mode, rng, seed=args.seed)
     data_mod.save_dataset(ds, args.out)
-    print(f"[gen-data] wrote {len(ds.records)} records to {args.out}")
+    print(f"[gen-data] wrote {len(ds.sketch.ids) + len(ds.shape.ids)} records to {args.out}")
     return 0
 
 
@@ -108,22 +99,22 @@ def cmd_train_shape(args) -> int:
 
 
 def _encode_split(args, only=None):
-    """(records of ``args.split``, encoder outputs), reading the checkpoint
+    """(samples of ``args.split``, encoder outputs), reading the checkpoint
     (of kind ``only`` if given) before the dataset of its kind."""
     kind, model, _ = load_checkpoint(args.checkpoint)
     if only is not None and kind != only:
         raise ValueError(f"{args.checkpoint}: expected a {only} checkpoint, found kind {kind!r}")
-    records = data_mod.load_dataset(args.data, kind).subset(kind, args.split)
-    if not records:
+    samples = data_mod.load_dataset(args.data, kind).subset(kind, args.split)
+    if not samples.ids:
         raise ValueError(f"no {kind} records in split {args.split!r}")
     encode = encode_sketch_batch if kind == "sketch" else encode_shape_batch
-    return records, encode(model, np.stack([r.features for r in records]))
+    return samples, encode(model, samples.features)
 
 
 def cmd_embed(args) -> int:
     print(f"[embed] checkpoint = {args.checkpoint}, data = {args.data}, split = {args.split}")
-    records, (emb, *_) = _encode_split(args)
-    data_mod.save_embeddings(args.out, records, emb)
+    samples, (emb, *_) = _encode_split(args)
+    data_mod.save_embeddings(args.out, samples, emb)
     print(f"[embed] wrote {emb.shape[0]} x {emb.shape[1]} embeddings to {args.out}")
     return 0
 
@@ -150,12 +141,11 @@ def cmd_eval(args) -> int:
 
 def cmd_report_uncertainty(args) -> int:
     print(f"[report-uncertainty] checkpoint = {args.checkpoint}, data = {args.data}, split = {args.split}")
-    records, (_, logvar, _) = _encode_split(args, only="sketch")
-    ids = [r.sample_id for r in records]
-    scores = uncert_mod.analyze(ids, np.exp(logvar))
+    samples, (_, logvar, _) = _encode_split(args, only="sketch")
+    scores = uncert_mod.analyze(samples.ids, np.exp(logvar))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    uncert_mod.write_report(ids, scores, out / "uncertainty.csv", out / "uncertainty_summary.txt")
+    uncert_mod.write_report(samples.ids, scores, out / "uncertainty.csv", out / "uncertainty_summary.txt")
     for name in uncert_mod.BUCKETS:
         print(f"[report-uncertainty] percent_{name} = {scores.percentages[name]:.1f}")
     print(f"[report-uncertainty] wrote {out / 'uncertainty.csv'}")

@@ -24,16 +24,19 @@ and a block with any fault is re-read line by line with float(), so the
 error names the file and the line of the first fault.  It is written in
 blocks of rows too, formatted in a pool of worker processes when the write
 is large and the process may use more than one CPU; the bytes are the same
-either way.
+either way.  A dataset holds these columns per modality (``Samples``) from
+generate or the parse to the encoder or writer, a shape's view rows as one
+N x views x dim block.
 """
 
 import math
 import os
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,14 +57,25 @@ _BLOCK_ROWS = 256
 _POOL_MIN_VALUES = 1 << 18
 
 
-@dataclass
-class SampleRecord:
-    sample_id: str
-    label: int
-    split: str
-    modality: str
-    features: np.ndarray  # (dim,) for sketches, (views, dim) for shapes
-    noisy: bool | None = None  # None: noisy.csv was not read
+class Samples(NamedTuple):
+    """One modality's samples as columns; features are N x dim for sketches
+    and N x views x dim for shapes, noisy is None where noisy.csv was not read."""
+
+    ids: list
+    labels: np.ndarray
+    splits: list
+    features: np.ndarray
+    noisy: np.ndarray | None
+
+    @property
+    def modality(self) -> str:
+        return "shape" if self.features.ndim == 3 else "sketch"
+
+    def take(self, rows) -> "Samples":
+        """The samples at the index array ``rows``, in that order."""
+        picked, noisy = rows.tolist(), None if self.noisy is None else self.noisy[rows]
+        ids, splits = [self.ids[i] for i in picked], [self.splits[i] for i in picked]
+        return Samples(ids, self.labels[rows], splits, self.features[rows], noisy)
 
 
 @dataclass
@@ -77,16 +91,22 @@ class Manifest:
 
 @dataclass
 class Dataset:
+    """The manifest and the samples of each modality read (None: not read)."""
+
     manifest: Manifest
-    records: list = field(default_factory=list)
+    sketch: Samples | None = None
+    shape: Samples | None = None
 
-    def subset(self, modality: str, split: str):
-        return [r for r in self.records if r.modality == modality and r.split == split]
+    def subset(self, modality: str, split: str) -> Samples:
+        samples = getattr(self, modality) if modality in ("sketch", "shape") else None
+        if samples is None:
+            raise ValueError(f"the dataset holds no {modality} samples")
+        return samples.take(np.array([i for i, s in enumerate(samples.splits) if s == split], dtype=np.int64))
 
-    def sketches(self, split: str):
+    def sketches(self, split: str) -> Samples:
         return self.subset("sketch", split)
 
-    def shapes(self, split: str):
+    def shapes(self, split: str) -> Samples:
         return self.subset("shape", split)
 
 
@@ -116,15 +136,8 @@ def _other_class(label: int, classes: int, rng: Rng) -> int:
 
 
 def generate(
-    classes: int,
-    train_per_class: int,
-    test_per_class: int,
-    dim: int,
-    views: int,
-    noise_frac: float,
-    noise_mode: str,
-    rng: Rng,
-    seed: int = 0,
+    classes: int, train_per_class: int, test_per_class: int, dim: int, views: int, noise_frac: float,
+    noise_mode: str, rng: Rng, seed: int = 0,
 ) -> Dataset:
     """Build the synthetic benchmark; both modalities use the same per-class
     train/test counts.  noise_frac of the sketches in each class and split
@@ -141,16 +154,19 @@ def generate(
         raise ValueError("train_per_class, test_per_class and views must be >= 1 and dim >= 2")
 
     protos = _class_prototypes(classes, dim, rng)
-    records = []
-    counts = {}
-    for split, per_class in (("train", train_per_class), ("test", test_per_class)):
+    per_split = (("train", train_per_class), ("test", test_per_class))
+    names = [f"{split}_{index:04d}" for split, per_class in per_split for index in range(classes * per_class)]
+    splits = [name.partition("_")[0] for name in names]
+    labels = np.concatenate([np.repeat(np.arange(classes, dtype=np.int64), per_class) for _, per_class in per_split])
+    sketch_features = np.empty((len(names), dim))
+    noisy = []
+    for split, per_class in per_split:
         k = math.ceil(noise_frac * per_class)
-        index = 0
         for label in range(classes):
             flags = [True] * k + [False] * (per_class - k)
             rng.shuffle(flags)
-            for noisy in flags:
-                if not noisy:
+            for flag in flags:
+                if not flag:
                     feat = protos[label] + CLEAN_NOISE_STD * rng.normal_matrix(1, dim)[0]
                 elif noise_mode == "ambiguous":
                     other = _other_class(label, classes, rng)
@@ -159,28 +175,18 @@ def generate(
                 else:  # label noise: a clean feature of some other class
                     other = _other_class(label, classes, rng)
                     feat = protos[other] + CLEAN_NOISE_STD * rng.normal_matrix(1, dim)[0]
-                records.append(
-                    SampleRecord(f"sketch_{split}_{index:04d}", label, split, "sketch", feat, noisy)
-                )
-                index += 1
-        counts[f"sketch_{split}"] = index
-    for split, per_class in (("train", train_per_class), ("test", test_per_class)):
-        index = 0
-        for label in range(classes):
-            for _ in range(per_class):
-                view_feats = protos[label] + VIEW_NOISE_STD * rng.normal_matrix(views, dim)
-                records.append(
-                    SampleRecord(f"shape_{split}_{index:04d}", label, split, "shape", view_feats, False)
-                )
-                index += 1
-        counts[f"shape_{split}"] = index
+                sketch_features[len(noisy)] = feat
+                noisy.append(flag)
+    shape_features = np.empty((len(names), views, dim))
+    for row, label in enumerate(labels.tolist()):
+        shape_features[row] = protos[label] + VIEW_NOISE_STD * rng.normal_matrix(views, dim)
 
+    counts = {f"{kind}_{split}": classes * per_class for kind in ("sketch", "shape") for split, per_class in per_split}
     manifest = Manifest(classes, dim, views, counts, noise_frac, noise_mode, seed)
-    return Dataset(manifest, records)
-
-
-def _feature_header(dim: int) -> str:
-    return "id,label,split,modality," + ",".join(f"v{i}" for i in range(dim))
+    sketch = Samples([f"sketch_{name}" for name in names], labels, splits, sketch_features, np.array(noisy))
+    shape = Samples([f"shape_{name}" for name in names], labels.copy(), list(splits), shape_features,
+                    np.zeros(len(names), dtype=bool))
+    return Dataset(manifest, sketch, shape)
 
 
 def write_feature_csv(path, ids, labels, splits, modalities, matrix) -> None:
@@ -199,7 +205,7 @@ def write_feature_csv(path, ids, labels, splits, modalities, matrix) -> None:
     )
     workers = _usable_cpus()
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(_feature_header(matrix.shape[1]) + "\n")
+        fh.write("id,label,split,modality," + ",".join(f"v{i}" for i in range(matrix.shape[1])) + "\n")
         if workers > 1 and matrix.size >= _POOL_MIN_VALUES:
             _write_pooled(fh, blocks, workers)
         else:
@@ -321,52 +327,41 @@ def _read_lines(path, block, dim, columns) -> None:
         values.extend(row)
 
 
-def _columns(records):
-    """The ids, labels, splits and modalities of records, as lists."""
-    return tuple([getattr(r, name) for r in records] for name in ("sample_id", "label", "split", "modality"))
-
-
 def save_dataset(ds: Dataset, outdir) -> None:
     """Write the four dataset files of a full dataset: one with both
     modalities and every sketch's noisy flag read.  A partial dataset (a
     single-modality load_dataset) raises ValueError before any file is
     opened."""
-    sketches = [r for r in ds.records if r.modality == "sketch"]
-    shapes = [r for r in ds.records if r.modality == "shape"]
-    missing = [f"{kind} records" for kind, records in (("sketch", sketches), ("shape", shapes)) if not records]
-    if any(r.noisy is None for r in sketches):
+    sketch, shape, m = ds.sketch, ds.shape, ds.manifest
+    missing = [f"{kind} records" for kind, samples in (("sketch", sketch), ("shape", shape)) if samples is None]
+    if sketch is not None and sketch.noisy is None:
         missing.append("the noisy flags of the sketches (noisy.csv was not read)")
     if missing:
         raise ValueError(f"cannot save a partial dataset: it lacks {' and '.join(missing)}")
-    outdir = _as_dir(outdir)
-    m = ds.manifest
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    counts = [f"count_{key} = {m.counts[key]}" for key in sorted(m.counts)]
     with open(outdir / "manifest.txt", "w", encoding="ascii") as fh:
-        fh.write(MANIFEST_MAGIC + "\n")
-        fh.write(f"classes = {m.classes}\n")
-        fh.write(f"feature_dim = {m.feature_dim}\n")
-        fh.write(f"views = {m.views}\n")
-        for key in sorted(m.counts):
-            fh.write(f"count_{key} = {m.counts[key]}\n")
-        fh.write(f"noise_frac = {m.noise_frac!r}\n")
-        fh.write(f"noise_mode = {m.noise_mode}\n")
-        fh.write(f"seed = {m.seed}\n")
+        fh.writelines(f"{line}\n" for line in [
+            MANIFEST_MAGIC, f"classes = {m.classes}", f"feature_dim = {m.feature_dim}", f"views = {m.views}", *counts,
+            f"noise_frac = {m.noise_frac!r}", f"noise_mode = {m.noise_mode}", f"seed = {m.seed}",
+        ])
 
-    features = np.array([r.features for r in sketches]).reshape(-1, m.feature_dim)
-    write_feature_csv(outdir / "sketches.csv", *_columns(sketches), features)
-    ids = [f"{r.sample_id}.v{j:02d}" for r in shapes for j in range(len(r.features))]
-    views = [r for r in shapes for _ in r.features]
-    features = np.array([r.features for r in shapes]).reshape(-1, m.feature_dim)
-    write_feature_csv(outdir / "shapes.csv", ids, *_columns(views)[1:], features)
+    n = len(sketch.ids)
+    write_feature_csv(outdir / "sketches.csv", sketch.ids, sketch.labels.tolist(), sketch.splits, ["sketch"] * n,
+                      sketch.features)
+    n, views, dim = shape.features.shape
+    write_feature_csv(
+        outdir / "shapes.csv",
+        [f"{sample_id}.v{j:02d}" for sample_id in shape.ids for j in range(views)],
+        np.repeat(shape.labels, views).tolist(),
+        [split for split in shape.splits for _ in range(views)],
+        ["shape"] * (n * views),
+        shape.features.reshape(n * views, dim),
+    )
     with open(outdir / "noisy.csv", "w", encoding="ascii") as fh:
         fh.write("id,noisy\n")
-        for r in sketches:
-            fh.write(f"{r.sample_id},{int(r.noisy)}\n")
-
-
-def _as_dir(path):
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+        fh.writelines(f"{sample_id},{int(flag)}\n" for sample_id, flag in zip(sketch.ids, sketch.noisy.tolist()))
 
 
 def load_manifest(path) -> Manifest:
@@ -408,6 +403,7 @@ def load_manifest(path) -> Manifest:
 
 
 def _read_noisy(path) -> dict:
+    """noisy.csv's flag of each id, each id once and each flag 0 or 1; an unlisted sketch is clean."""
     noisy = {}
     lines = _text_lines(path)
     header = next(lines, (1, ""))[1].rstrip("\n")
@@ -418,15 +414,18 @@ def _read_noisy(path) -> dict:
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path} line {lineno}: expected 2 fields")
+        if len(parts) != 2 or parts[1] not in ("0", "1"):
+            raise ValueError(f"{path} line {lineno}: expected id,0 or id,1, got {line!r}")
+        if parts[0] in noisy:
+            raise ValueError(f"{path} line {lineno}: id {parts[0]} is listed again")
         noisy[parts[0]] = parts[1] == "1"
     return noisy
 
 
-def _read_rows(path, manifest: Manifest):
-    """The columns of one of the dataset's feature files, checked against
-    the manifest's feature dimension and class count."""
+def _read_rows(path, manifest: Manifest, modality: str):
+    """The ids, labels, splits and matrix of one of the dataset's feature
+    files, checked against the manifest's feature dimension and class
+    count and against the file's modality."""
     ids, labels, splits, modalities, matrix = read_feature_csv(path)
     if matrix.shape[1] != manifest.feature_dim:
         raise ValueError(f"{path}: dim {matrix.shape[1]} != manifest feature_dim {manifest.feature_dim}")
@@ -434,39 +433,36 @@ def _read_rows(path, manifest: Manifest):
     if bad.size:
         i = bad[0]
         raise ValueError(f"{path}: row {ids[i]} has label {labels[i]}, manifest says {manifest.classes} classes")
-    return ids, labels.tolist(), splits, modalities, matrix
+    if modalities.count(modality) != len(modalities):
+        i = next(i for i, m in enumerate(modalities) if m != modality)
+        raise ValueError(f"{path}: row {ids[i]} has modality {modalities[i]!r}, expected {modality!r}")
+    return ids, labels, splits, matrix
 
 
-def _load_sketches(indir: Path, manifest: Manifest, noisy=None):
-    """One record per sketch row; ``noisy`` maps ids to flags (an id it
-    lacks is clean), and None leaves every flag None, unread."""
-    columns = _read_rows(indir / "sketches.csv", manifest)
-    flags = [None if noisy is None else noisy.get(i, False) for i in columns[0]]
-    return list(map(SampleRecord, *columns, flags))
-
-
-def _load_shapes(indir: Path, manifest: Manifest):
-    """One record per shape from its view rows, which must agree on label,
-    split and modality and be numbered .v00 to the manifest's view count."""
+def _load_shapes(indir: Path, manifest: Manifest) -> Samples:
+    """One sample per shape from its view rows, which must agree on label
+    and split and be numbered .v00 to the manifest's view count; the
+    N x views x dim block is gathered with one index array."""
     path = indir / "shapes.csv"
-    ids, *meta_columns, matrix = _read_rows(path, manifest)
-    grouped = {}
-    meta = {}
-    for i, (sample_id, row_meta) in enumerate(zip(ids, zip(*meta_columns))):
+    ids, labels, splits, matrix = _read_rows(path, manifest, "shape")
+    grouped, meta = {}, {}
+    for i, (sample_id, row_meta) in enumerate(zip(ids, zip(labels.tolist(), splits))):
         base, _, suffix = sample_id.rpartition(".v")
         if not base or not suffix.isdigit():
             raise ValueError(f"{path}: view row id {sample_id!r} lacks a .vNN suffix")
         if meta.setdefault(base, row_meta) != row_meta:
-            raise ValueError(f"{path}: view row {sample_id} disagrees with shape {base} on label, split or modality")
+            raise ValueError(f"{path}: view row {sample_id} disagrees with shape {base} on label or split")
         grouped.setdefault(base, []).append((int(suffix), i))
-    records = []
+    rows = []
     for base, items in grouped.items():
         items.sort()
         views = [j for j, _ in items]
         if views != list(range(manifest.views)):
             raise ValueError(f"{path}: shape {base} has views {views}, manifest says {manifest.views}")
-        records.append(SampleRecord(base, *meta[base], matrix[[i for _, i in items]], False))
-    return records
+        rows.extend(i for _, i in items)
+    rows = np.array(rows, dtype=np.int64).reshape(len(grouped), manifest.views)
+    first, flags = rows[:, 0], np.zeros(len(grouped), dtype=bool)
+    return Samples(list(grouped), labels[first], [splits[i] for i in first.tolist()], matrix[rows], flags)
 
 
 def load_dataset(indir, modality=None) -> Dataset:
@@ -474,33 +470,35 @@ def load_dataset(indir, modality=None) -> Dataset:
     reads ``sketches.csv``, ``"shape"`` reads ``shapes.csv`` and None
     reads both and ``noisy.csv``, whose flags only this full load joins
     (a sketch-only load leaves them None).  The manifest's counts are
-    checked for each modality read."""
+    checked against the splits column of each modality read."""
     if modality not in (None, "sketch", "shape"):
         raise ValueError(f"modality must be 'sketch', 'shape' or None, got {modality!r}")
     indir = Path(indir)
-    manifest = load_manifest(indir / "manifest.txt")
-    records = []
+    ds = Dataset(load_manifest(indir / "manifest.txt"))
     if modality in (None, "sketch"):
         noisy = _read_noisy(indir / "noisy.csv") if modality is None else None
-        records += _load_sketches(indir, manifest, noisy)
+        ids, labels, splits, matrix = _read_rows(indir / "sketches.csv", ds.manifest, "sketch")
+        flags = None if noisy is None else np.array([noisy.get(i, False) for i in ids], dtype=bool)
+        ds.sketch = Samples(ids, labels, splits, matrix, flags)
     if modality in (None, "shape"):
-        records += _load_shapes(indir, manifest)
-    ds = Dataset(manifest, records)
-    for key, expected in manifest.counts.items():
+        ds.shape = _load_shapes(indir, ds.manifest)
+    for key, expected in ds.manifest.counts.items():
         kind, _, split = key.partition("_")
         if modality not in (None, kind):
             continue
-        actual = len(ds.subset(kind, split))
+        samples = {"sketch": ds.sketch, "shape": ds.shape}.get(kind)
+        actual = 0 if samples is None else samples.splits.count(split)
         if actual != expected:
             raise ValueError(f"{indir / 'manifest.txt'}: manifest count {key} = {expected} but found {actual} records")
     return ds
 
 
-def save_embeddings(path, records, matrix: np.ndarray) -> None:
-    """One row per sample in record order: id,label,split,modality,values."""
-    if len(records) != matrix.shape[0]:
-        raise ValueError(f"{len(records)} records but {matrix.shape[0]} embedding rows")
-    write_feature_csv(path, *_columns(records), matrix)
+def save_embeddings(path, samples: Samples, matrix: np.ndarray) -> None:
+    """One row per sample, in order: id,label,split,modality,values."""
+    n = len(samples.ids)
+    if n != matrix.shape[0]:
+        raise ValueError(f"{n} records but {matrix.shape[0]} embedding rows")
+    write_feature_csv(path, samples.ids, samples.labels.tolist(), samples.splits, [samples.modality] * n, matrix)
 
 
 def load_embeddings(path):

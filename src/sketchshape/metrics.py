@@ -90,7 +90,10 @@ class MetricReport:
 
 
 def _ids(ids, count: int) -> list:
-    return [str(i) for i in (range(count) if ids is None else ids)]
+    ids = [str(i) for i in (range(count) if ids is None else ids)]
+    if len(ids) != count:
+        raise ValueError(f"query_ids has {len(ids)} entries for {count} queries")
+    return ids
 
 
 def _ranked_blocks(queries, gallery, query_labels, gallery_labels):
@@ -106,6 +109,9 @@ def _ranked_blocks(queries, gallery, query_labels, gallery_labels):
         raise ValueError("gallery must not be empty")
     query_labels = np.asarray(query_labels, dtype=np.int64)
     gallery_labels = np.asarray(gallery_labels, dtype=np.int64)
+    for name, labels, rows in (("query_labels", query_labels, queries), ("gallery_labels", gallery_labels, gallery)):
+        if labels.shape != rows.shape[:1]:
+            raise ValueError(f"{name} has shape {labels.shape} for {rows.shape[0]} {name.partition('_')[0]} rows")
     unit_queries = l2_normalize_rows(queries)
     unit_gallery_t = l2_normalize_rows(gallery).T
     # numpy multiplies a one-row block as a vector (gemv), which may round

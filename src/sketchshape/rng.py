@@ -5,10 +5,11 @@ The generator is SplitMix64: a 64-bit counter advances by the odd constant
 through an avalanche mixer (two xor-shift/multiply rounds, one final
 xor-shift).  Uniform doubles take the top 53 bits of a raw output, so the
 uniform stream is bit-reproducible wherever IEEE-754 doubles exist.  Normal
-draws apply the Box-Muller transform to uniform pairs; they are reproducible
-at the uniform level but may differ in the last ulp across libm
-implementations, which is why normal streams are compared statistically
-rather than bitwise.
+draws apply the Box-Muller transform to uniform pairs; their last ulp
+depends on the SIMD loops numpy dispatches ``np.log`` to, not on libm: with
+AVX-512 it differed from ``math.log`` in 666 of 200,000 values, with AVX2 in
+none.  So normal streams are bitwise reproducible for one numpy build and
+SIMD target, and are compared statistically across platforms.
 """
 
 import math

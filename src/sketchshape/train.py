@@ -228,13 +228,19 @@ def _fit(stage: str, cfg: TrainConfig, rng: Rng, n: int, params, step) -> TrainR
     return report
 
 
-def _stack(records, cfg, what: str, layout: str):
-    """(features, labels): the features stacked with one axis per letter of
-    ``layout`` ("N" or "NV") plus a feature_dim axis, all finite."""
-    x = np.stack([np.asarray(r.features, dtype=np.float64) for r in records])
+def _inputs(stage: str, samples, cfg, what: str, layout: str):
+    """(features, labels) of a non-empty training set, checked once: float64
+    features with one axis per letter of ``layout`` ("N" or "NV") plus a
+    feature_dim axis, all finite, and one int64 label per sample."""
+    x = np.asarray(samples.features, dtype=np.float64)
     if x.ndim != len(layout) + 1 or x.shape[-1] != cfg.feature_dim:
         raise ValueError(f"{what} have shape {x.shape}, expected {'x'.join(layout)}x{cfg.feature_dim}")
-    return require_finite(x, what), np.array([r.label for r in records], dtype=np.int64)
+    y = np.asarray(samples.labels, dtype=np.int64)
+    if y.shape != x.shape[:1]:
+        raise ValueError(f"{what}: {y.size} labels for {x.shape[0]} samples")
+    if not y.size:
+        raise ValueError(f"{stage}: empty training set")
+    return require_finite(x, what), y
 
 
 def _sketch_objective(model, weights, xn, labels, eps, margins: MarginParams, lam: float):
@@ -259,12 +265,11 @@ def _shape_objective(model, centers, views, labels, margins: MarginParams):
     return loss, shape_backward(model, cache, df)
 
 
-def train_stage1(records, cfg: TrainConfig, rng: Rng):
-    """Sketch uncertainty learning; returns (model, frozen classifier,
-    report).  Aborts with a diagnostic if the loss goes non-finite."""
-    if not records:
-        raise ValueError("stage 1: empty training set")
-    x, y = _stack(records, cfg, "sketch features", "N")
+def train_stage1(samples, cfg: TrainConfig, rng: Rng):
+    """Sketch uncertainty learning on samples' .features and .labels;
+    returns (model, frozen classifier, report).  Aborts with a diagnostic
+    if the loss goes non-finite."""
+    x, y = _inputs("stage 1", samples, cfg, "sketch features", "N")
     bad = sorted(set(y[(y < 0) | (y >= cfg.classes)].tolist()))
     if bad:
         raise ValueError(f"stage 1: sketch labels out of range [0, {cfg.classes}): {_first(bad, len(bad))}")
@@ -283,20 +288,19 @@ def train_stage1(records, cfg: TrainConfig, rng: Rng):
         eps = rng.normal_matrix(len(batch), cfg.embed_dim)
         return _sketch_objective(model, classifier.weights, xn[batch], y[batch], eps, margins, cfg.lam)
 
-    report = _fit("stage 1", cfg, rng, len(records), model.parameters() + [classifier.weights], step)
+    report = _fit("stage 1", cfg, rng, len(y), model.parameters() + [classifier.weights], step)
     return model, classifier.freeze(), report
 
 
-def train_stage2(records, classifier: Classifier, cfg: TrainConfig, rng: Rng):
-    """Shape feature transfer toward the frozen sketch class centers;
-    returns (model, report).  The classifier is bitwise unchanged."""
-    if not records:
-        raise ValueError("stage 2: empty training set")
+def train_stage2(samples, classifier: Classifier, cfg: TrainConfig, rng: Rng):
+    """Shape feature transfer toward the frozen sketch class centers, on
+    samples' .features and .labels; returns (model, report).  The
+    classifier is bitwise unchanged."""
+    x, y = _inputs("stage 2", samples, cfg, "shape view features", "NV")
     if not classifier.frozen:
         raise ValueError("stage 2 requires a frozen classifier from stage 1")
     if classifier.weights.shape[1] != cfg.embed_dim:
         raise ValueError(f"stage 2: embedding dim {cfg.embed_dim} != class-center dim {classifier.weights.shape[1]}")
-    x, y = _stack(records, cfg, "shape view features", "NV")
     extra = sorted(set(y[(y < 0) | (y >= classifier.num_classes)].tolist()))
     if extra:
         raise ValueError(
@@ -315,7 +319,7 @@ def train_stage2(records, classifier: Classifier, cfg: TrainConfig, rng: Rng):
     def step(batch):
         return _shape_objective(model, centers, views[batch], y[batch], margins)
 
-    report = _fit("stage 2", cfg, rng, len(records), model.parameters(), step)
+    report = _fit("stage 2", cfg, rng, len(y), model.parameters(), step)
     if not np.array_equal(weights_before, classifier.weights):
         raise RuntimeError("stage 2 modified the frozen classifier")
     return model, report

@@ -55,21 +55,16 @@ def _bench_dataset(seed, noise_frac):
     return generate(10, 50, 30, 16, 12, noise_frac, "ambiguous", Rng(seed), seed=seed)
 
 
-def _sigma_scores(model, records):
-    _, logvar, _ = encode_sketch_batch(model, np.stack([r.features for r in records]))
+def _sigma_scores(model, sketches):
+    _, logvar, _ = encode_sketch_batch(model, sketches.features)
     return [harmonic_mean(row) for row in np.exp(logvar)]
 
 
 def _cross_modal_map(sketch_model, shape_model, ds):
-    queries, _, _ = encode_sketch_batch(sketch_model, np.stack([r.features for r in ds.sketches("test")]))
-    gallery, _ = encode_shape_batch(shape_model, np.stack([r.features for r in ds.shapes("test")]))
-    report = evaluate(
-        queries,
-        gallery,
-        [r.label for r in ds.sketches("test")],
-        [r.label for r in ds.shapes("test")],
-    )
-    return report.map
+    sketches, shapes = ds.sketches("test"), ds.shapes("test")
+    queries, _, _ = encode_sketch_batch(sketch_model, sketches.features)
+    gallery, _ = encode_shape_batch(shape_model, shapes.features)
+    return evaluate(queries, gallery, sketches.labels, shapes.labels).map
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +75,7 @@ def benchmark_runs():
         cfg, noise = bench_config(seed)
         ds = _bench_dataset(seed, noise)
         train = ds.sketches("train")
-        flags = [r.noisy for r in train]
+        flags = train.noisy.tolist()
 
         t0 = time.perf_counter()
         model, classifier, _ = train_stage1(train, cfg, Rng(seed))

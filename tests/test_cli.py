@@ -304,8 +304,8 @@ class TestEmbedParsesOnce:
 class TestGenData:
     def test_writes_dataset(self, pipeline):
         ds = load_dataset(pipeline["data"])
-        assert len(ds.sketches("train")) == 36
-        assert len(ds.shapes("test")) == 18
+        assert len(ds.sketches("train").ids) == 36
+        assert len(ds.shapes("test").ids) == 18
         assert ds.manifest.seed == 5
 
     def test_prints_seed(self, tmp_path, capsys):
@@ -333,10 +333,10 @@ class TestPipeline:
     def test_embed_matches_library_encode(self, pipeline):
         model, _ = load_sketch_checkpoint(pipeline["run"] / "sketch.ckpt")
         ds = load_dataset(pipeline["data"])
-        records = ds.sketches("test")
+        sketches = ds.sketches("test")
         ids, _, _, _, matrix = load_embeddings(pipeline["queries"])
-        assert ids == [r.sample_id for r in records]
-        mu, _, _ = encode_sketch_batch(model, records[0].features[None, :])
+        assert ids == sketches.ids
+        mu, _, _ = encode_sketch_batch(model, sketches.features[:1])
         # batched and single-row matmuls may differ in the last ulp
         np.testing.assert_allclose(matrix[0], mu[0], rtol=0, atol=1e-12)
 

@@ -28,61 +28,70 @@ def small_dataset(seed=0, noise_frac=0.0, mode="ambiguous", classes=3, train=10,
     return generate(classes, train, test, dim, views, noise_frac, mode, Rng(seed), seed=seed)
 
 
+def assert_same_samples(got, want):
+    """Every column of two Samples equal, the arrays bitwise and with the
+    column dtypes (int64 labels, float64 features, bool or None noisy)."""
+    assert got.ids == want.ids and got.splits == want.splits
+    assert got.labels.dtype == np.int64 and got.labels.tobytes() == want.labels.tobytes()
+    assert got.features.dtype == np.float64 and got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    if want.noisy is None:
+        assert got.noisy is None
+    else:
+        assert got.noisy.dtype == bool and got.noisy.tolist() == want.noisy.tolist()
+
+
 class TestGenerate:
     def test_published_benchmark_counts(self):
         ds = generate(3, 50, 30, 8, 3, 0.0, "ambiguous", Rng(1), seed=1)
-        assert len(ds.sketches("train")) == 150
-        assert len(ds.sketches("test")) == 90
-        assert len(ds.shapes("train")) == 150
-        assert len(ds.shapes("test")) == 90
+        assert len(ds.sketches("train").ids) == 150
+        assert len(ds.sketches("test").ids) == 90
+        assert len(ds.shapes("train").ids) == 150
+        assert len(ds.shapes("test").ids) == 90
 
     def test_zero_noise_frac_flags_nothing(self):
         ds = small_dataset(noise_frac=0.0)
-        assert not any(r.noisy for r in ds.records)
+        assert not ds.sketch.noisy.any() and not ds.shape.noisy.any()
 
     def test_noisy_fraction_per_class_and_split(self):
         ds = small_dataset(seed=2, noise_frac=0.25, train=10, test=4)
         for split, per_class in (("train", 10), ("test", 4)):
             want = math.ceil(0.25 * per_class)
+            sketches = ds.sketches(split)
             for label in range(3):
-                got = sum(1 for r in ds.sketches(split) if r.label == label and r.noisy)
+                got = int(np.sum((sketches.labels == label) & sketches.noisy))
                 assert abs(got - want) <= 1
 
     def test_shapes_never_noisy_and_have_views(self):
         ds = small_dataset(seed=3, noise_frac=0.5)
-        for r in ds.shapes("train"):
-            assert not r.noisy
-            assert r.features.shape == (3, 8)
+        shapes = ds.shapes("train")
+        assert not shapes.noisy.any()
+        assert shapes.features.shape == (30, 3, 8)
 
     def test_same_seed_identical_datasets(self):
         a = small_dataset(seed=4, noise_frac=0.3)
         b = small_dataset(seed=4, noise_frac=0.3)
-        for ra, rb in zip(a.records, b.records):
-            assert ra.sample_id == rb.sample_id
-            assert ra.noisy == rb.noisy
-            np.testing.assert_array_equal(ra.features, rb.features)
+        assert_same_samples(a.sketch, b.sketch)
+        assert_same_samples(a.shape, b.shape)
 
     def test_intra_class_cosine_beats_inter_class(self):
         ds = generate(5, 30, 5, 16, 2, 0.0, "ambiguous", Rng(5), seed=5)
-        records = ds.sketches("train")
-        feats = np.stack([r.features for r in records])
-        labels = np.array([r.label for r in records])
+        sketches = ds.sketches("train")
+        feats, labels = sketches.features, sketches.labels
         cos = cosine_matrix(feats, feats)
         same = labels[:, None] == labels[None, :]
-        off = ~np.eye(len(records), dtype=bool)
+        off = ~np.eye(len(labels), dtype=bool)
         intra = cos[same & off].mean()
         inter = cos[~same].mean()
         assert intra > inter + 0.2
 
     def test_label_mode_features_sit_near_wrong_class(self):
         ds = small_dataset(seed=6, noise_frac=0.5, mode="label", train=20)
-        records = ds.sketches("train")
-        feats = np.stack([r.features for r in records])
-        labels = np.array([r.label for r in records])
-        noisy = np.array([r.noisy for r in records])
+        sketches = ds.sketches("train")
+        feats, labels, noisy = sketches.features, sketches.labels, sketches.noisy
         clean_means = np.stack([feats[(labels == c) & ~noisy].mean(axis=0) for c in range(3)])
         cos = cosine_matrix(feats, clean_means)
-        own = cos[np.arange(len(records)), labels]
+        own = cos[np.arange(len(labels)), labels]
         # mislabeled features are far from their own class's clean centroid
         assert own[noisy].mean() < own[~noisy].mean() - 0.3
 
@@ -101,22 +110,14 @@ class TestGenerate:
 
 class TestDatasetFiles:
     def test_round_trip_is_lossless(self, tmp_path):
+        """Both modalities' columns load back bitwise equal to generate's."""
         ds = small_dataset(seed=7, noise_frac=0.3)
         save_dataset(ds, tmp_path)
         loaded = load_dataset(tmp_path)
-        assert loaded.manifest.classes == ds.manifest.classes
-        assert loaded.manifest.counts == ds.manifest.counts
-        assert len(loaded.records) == len(ds.records)
-        by_id = {r.sample_id: r for r in loaded.records}
-        for r in ds.records:
-            other = by_id[r.sample_id]
-            assert (other.label, other.split, other.modality, other.noisy) == (
-                r.label,
-                r.split,
-                r.modality,
-                r.noisy,
-            )
-            np.testing.assert_array_equal(other.features, r.features)
+        assert loaded.manifest == ds.manifest
+        assert ds.sketch.noisy.any()
+        assert_same_samples(loaded.sketch, ds.sketch)
+        assert_same_samples(loaded.shape, ds.shape)
 
     def test_same_seed_identical_files(self, tmp_path):
         for sub in ("a", "b"):
@@ -224,12 +225,9 @@ class TestDatasetFiles:
         for name in skipped:
             (tmp_path / name).unlink()
         loaded = load_dataset(tmp_path, modality)
-        expected = [r for r in ds.records if r.modality == modality]
-        assert [(r.sample_id, r.label, r.split, r.noisy) for r in loaded.records] == [
-            (r.sample_id, r.label, r.split, None if modality == "sketch" else r.noisy) for r in expected
-        ]
-        for got, want in zip(loaded.records, expected):
-            np.testing.assert_array_equal(got.features, want.features)
+        want = getattr(ds, modality)
+        assert_same_samples(getattr(loaded, modality), want._replace(noisy=None) if modality == "sketch" else want)
+        assert getattr(loaded, "shape" if modality == "sketch" else "sketch") is None
 
     @pytest.mark.parametrize(
         "name, line, edit, pattern",
@@ -241,8 +239,13 @@ class TestDatasetFiles:
              r"shapes.csv: shape shape_train_0000 has views \[1, 1, 2\]"),
             ("shapes.csv", 3, lambda f: f[:2] + ["test"] + f[3:],
              r"shapes.csv: view row shape_train_0000.v01 disagrees"),
+            ("sketches.csv", 3, lambda f: f[:3] + ["shape"] + f[4:],
+             r"sketches.csv: row sketch_train_0001 has modality 'shape', expected 'sketch'$"),
+            ("shapes.csv", 4, lambda f: f[:3] + ["sketch"] + f[4:],
+             r"shapes.csv: row shape_train_0000.v02 has modality 'sketch', expected 'shape'$"),
         ],
-        ids=["label-too-large", "label-negative", "duplicate-view", "view-split"],
+        ids=["label-too-large", "label-negative", "duplicate-view", "view-split", "sketch-row-modality",
+             "view-row-modality"],
     )
     def test_inconsistent_rows_rejected(self, tmp_path, name, line, edit, pattern):
         save_dataset(small_dataset(seed=9), tmp_path)
@@ -258,14 +261,11 @@ class TestDatasetFiles:
         header, *rows = (tmp_path / "b" / "shapes.csv").read_text().splitlines()
         Rng(16).shuffle(rows)
         (tmp_path / "b" / "shapes.csv").write_text("\n".join([header, *rows]) + "\n")
-        a, b = (load_dataset(tmp_path / sub, "shape").records for sub in ("a", "b"))
-        assert sorted(r.sample_id for r in b) == sorted(r.sample_id for r in a)
-        by_id = {r.sample_id: r for r in b}
-        for r in a:
-            other = by_id[r.sample_id]
-            assert (other.label, other.split, other.modality, other.noisy) == (r.label, r.split, r.modality, False)
-            assert type(other.label) is int
-            assert other.features.shape == (4, 8) and other.features.tobytes() == r.features.tobytes()
+        a, b = (load_dataset(tmp_path / sub, "shape").shape for sub in ("a", "b"))
+        assert sorted(b.ids) == sorted(a.ids) and b.ids != a.ids
+        position = {sample_id: i for i, sample_id in enumerate(b.ids)}
+        assert_same_samples(b.take(np.array([position[i] for i in a.ids])), a)
+        assert a.features.shape[1:] == (4, 8) and not a.noisy.any()
 
     def test_unknown_modality_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="modality"):
@@ -282,31 +282,49 @@ class TestDatasetFiles:
             save_dataset(partial, tmp_path / "copy")
         assert not (tmp_path / "copy").exists()
 
+    @pytest.mark.parametrize(
+        "line, text, pattern",
+        [
+            (2, "sketch_train_0000,yes", r"noisy.csv line 2: expected id,0 or id,1, got 'sketch_train_0000,yes'$"),
+            (3, "sketch_train_0001,2", r"noisy.csv line 3: expected id,0 or id,1, got 'sketch_train_0001,2'$"),
+            (4, "sketch_train_0000,1", r"noisy.csv line 4: id sketch_train_0000 is listed again$"),
+        ],
+        ids=["yes", "two", "repeated-id"],
+    )
+    def test_malformed_noisy_flag_rejected(self, tmp_path, line, text, pattern):
+        save_dataset(small_dataset(seed=9, noise_frac=0.3), tmp_path)
+        lines = (tmp_path / "noisy.csv").read_text().splitlines()
+        lines[line - 1] = text
+        (tmp_path / "noisy.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=pattern):
+            load_dataset(tmp_path)
+
 
 class TestEmbeddingFiles:
     def test_round_trip(self, tmp_path):
         ds = small_dataset(seed=10)
-        records = ds.sketches("test")
-        matrix = Rng(11).uniform_matrix(len(records), 6, -1.0, 1.0)
-        path = tmp_path / "emb.csv"
-        save_embeddings(path, records, matrix)
-        ids, labels, splits, modalities, loaded = load_embeddings(path)
-        assert ids == [r.sample_id for r in records]
-        assert labels.tolist() == [r.label for r in records]
-        assert set(splits) == {"test"}
-        assert set(modalities) == {"sketch"}
-        np.testing.assert_array_equal(loaded, matrix)
+        for samples in (ds.sketches("test"), ds.shapes("test")):
+            matrix = Rng(11).uniform_matrix(len(samples.ids), 6, -1.0, 1.0)
+            path = tmp_path / "emb.csv"
+            save_embeddings(path, samples, matrix)
+            ids, labels, splits, modalities, loaded = load_embeddings(path)
+            assert ids == samples.ids
+            assert labels.tolist() == samples.labels.tolist()
+            assert set(splits) == {"test"}
+            assert set(modalities) == {samples.modality}
+            np.testing.assert_array_equal(loaded, matrix)
+        assert [s.modality for s in (ds.sketch, ds.shape)] == ["sketch", "shape"]
 
     def test_non_finite_row_rejected_by_id(self, tmp_path):
         ds = small_dataset(seed=13)
-        records = ds.sketches("test")
-        matrix = Rng(14).uniform_matrix(len(records), 3, -1.0, 1.0)
+        samples = ds.sketches("test")
+        matrix = Rng(14).uniform_matrix(len(samples.ids), 3, -1.0, 1.0)
         matrix[2, 1] = np.inf
         matrix[5, 0] = np.nan
         path = tmp_path / "emb.csv"
-        save_embeddings(path, records, matrix)
-        # records[2] is on line 4 (header, then records 0 and 1)
-        with pytest.raises(ValueError, match=f"emb.csv line 4: row {records[2].sample_id} has non-finite"):
+        save_embeddings(path, samples, matrix)
+        # sample 2 is on line 4 (header, then samples 0 and 1)
+        with pytest.raises(ValueError, match=f"emb.csv line 4: row {samples.ids[2]} has non-finite"):
             load_embeddings(path)
 
     def test_row_count_mismatch_rejected(self, tmp_path):

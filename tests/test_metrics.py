@@ -287,6 +287,27 @@ class TestEvaluate:
             with pytest.raises(ValueError, match="non-finite"):
                 evaluate(queries, gallery, [0] * len(queries), [0] * len(gallery))
 
+    @staticmethod
+    def _six_queries_ten_items():
+        rng = Rng(31)
+        queries, gallery = rng.uniform_matrix(6, 4, -1.0, 1.0), rng.uniform_matrix(10, 4, -1.0, 1.0)
+        return queries, gallery, [0, 1, 0, 1, 0, 1], [0, 1] * 5
+
+    def test_one_label_for_every_query_rejected(self):
+        queries, gallery, _, gallery_labels = self._six_queries_ten_items()
+        with pytest.raises(ValueError, match=r"^query_labels has shape \(1,\) for 6 query rows$"):
+            evaluate(queries, gallery, [0], gallery_labels)
+
+    def test_fewer_query_ids_than_queries_rejected(self):
+        queries, gallery, query_labels, gallery_labels = self._six_queries_ten_items()
+        with pytest.raises(ValueError, match=r"^query_ids has 3 entries for 6 queries$"):
+            evaluate(queries, gallery, query_labels, gallery_labels, query_ids=["a", "b", "c"])
+
+    def test_fewer_gallery_labels_than_items_rejected(self):
+        queries, gallery, query_labels, _ = self._six_queries_ten_items()
+        with pytest.raises(ValueError, match=r"^gallery_labels has shape \(4,\) for 10 gallery rows$"):
+            evaluate(queries, gallery, query_labels, [0, 1, 0, 1])
+
     def test_pr_curve_levels_and_perfect_case(self):
         queries = np.eye(3)
         gallery = np.eye(3)

@@ -242,10 +242,10 @@ class TestStage1:
 
     def test_easy_data_reaches_high_train_accuracy(self):
         ds = easy_dataset(2)
-        records = ds.sketches("train")
-        model, classifier, report = train_stage1(records, easy_cfg(), Rng(2))
-        mu, _, _ = encode_sketch_batch(model, np.stack([r.features for r in records]))
-        acc = center_accuracy(mu, classifier, [r.label for r in records])
+        sketches = ds.sketches("train")
+        model, classifier, report = train_stage1(sketches, easy_cfg(), Rng(2))
+        mu, _, _ = encode_sketch_batch(model, sketches.features)
+        acc = center_accuracy(mu, classifier, sketches.labels)
         assert acc >= 0.99
         assert classifier.frozen
         assert all(math.isfinite(l) for l in report.losses)
@@ -274,38 +274,41 @@ class TestStage1:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train_stage1([], easy_cfg(), Rng(0))
+            train_stage1(easy_dataset(4).sketches("validation"), easy_cfg(), Rng(0))
 
     def test_missing_class_rejected(self):
-        ds = easy_dataset(4)
-        records = [r for r in ds.sketches("train") if r.label != 1]
+        sketches = easy_dataset(4).sketches("train")
+        sketches = sketches.take(np.flatnonzero(sketches.labels != 1))
         with pytest.raises(ValueError, match="classes without any training sketch"):
-            train_stage1(records, easy_cfg(), Rng(0))
+            train_stage1(sketches, easy_cfg(), Rng(0))
 
     def test_missing_classes_message_stays_short(self):
-        records = easy_dataset(4).sketches("train")
+        sketches = easy_dataset(4).sketches("train")
         with pytest.raises(ValueError) as err:
-            train_stage1(records, easy_cfg(classes=200000), Rng(0))
+            train_stage1(sketches, easy_cfg(classes=200000), Rng(0))
         message = str(err.value)
         assert len(message.encode()) < 1024
         assert "199997 classes without any training sketch: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ...]" in message
 
     @pytest.mark.parametrize("bad", [[3], [-1], [7, -2, 3, 7]])
     def test_label_out_of_range_rejected_before_training(self, bad):
-        records = easy_dataset(4).sketches("train")
-        for record, label in zip(records, bad):
-            record.label = label
+        sketches = easy_dataset(4).sketches("train")
+        sketches.labels[: len(bad)] = bad
         named = ", ".join(str(v) for v in sorted(set(bad)))
         with pytest.raises(ValueError, match=rf"sketch labels out of range \[0, 3\): \[{named}\]$"):
-            train_stage1(records, easy_cfg(), Rng(0))
+            train_stage1(sketches, easy_cfg(), Rng(0))
 
     def test_non_finite_feature_rejected_before_training(self, monkeypatch):
-        records = easy_dataset(4).sketches("train")
-        records[5].features = records[5].features.copy()
-        records[5].features[2] = np.nan
+        sketches = easy_dataset(4).sketches("train")
+        sketches.features[5, 2] = np.nan
         monkeypatch.setattr(train_mod, "_fit", _no_training)
         with pytest.raises(ValueError, match="^sketch features contains non-finite entries$"):
-            train_stage1(records, easy_cfg(), Rng(0))
+            train_stage1(sketches, easy_cfg(), Rng(0))
+
+    def test_label_count_must_match_features(self):
+        sketches = easy_dataset(4).sketches("train")
+        with pytest.raises(ValueError, match=r"^sketch features: 59 labels for 60 samples$"):
+            train_stage1(sketches._replace(labels=sketches.labels[:-1]), easy_cfg(), Rng(0))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):
@@ -342,37 +345,38 @@ class TestStage2:
 
     def test_non_finite_feature_rejected_before_training(self, monkeypatch):
         ds, cfg, _, classifier = self._stage1()
-        records = ds.shapes("train")
-        records[3].features = records[3].features.copy()
-        records[3].features[1, 0] = np.inf
+        shapes = ds.shapes("train")
+        shapes.features[3, 1, 0] = np.inf
         monkeypatch.setattr(train_mod, "_fit", _no_training)
         with pytest.raises(ValueError, match="^shape view features contains non-finite entries$"):
-            train_stage2(records, classifier, cfg, Rng(0))
+            train_stage2(shapes, classifier, cfg, Rng(0))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_last_update_aborts(self):
         ds, cfg, _, classifier = self._stage1()
-        records = ds.shapes("train")
-        one_batch = replace(cfg, lr0=1e308, max_epochs=1, batch_size=len(records))
+        shapes = ds.shapes("train")
+        one_batch = replace(cfg, lr0=1e308, max_epochs=1, batch_size=len(shapes.ids))
         with pytest.raises(RuntimeError, match="stage 2 aborted: non-finite parameters"):
-            train_stage2(records, classifier, one_batch, Rng(0))
+            train_stage2(shapes, classifier, one_batch, Rng(0))
 
     def test_label_outside_classifier_rejected(self):
         ds, cfg, _, classifier = self._stage1()
-        records = ds.shapes("train")
-        records[0].label = 7
+        shapes = ds.shapes("train")
+        shapes.labels[0] = 7
         with pytest.raises(ValueError, match="missing from"):
-            train_stage2(records, classifier, cfg, Rng(0))
+            train_stage2(shapes, classifier, cfg, Rng(0))
 
     def test_view_order_within_a_shape_changes_no_bit(self):
         ds = easy_dataset(11)
         cfg = easy_cfg(max_epochs=3)
         classifier = Classifier(Rng(12).uniform_matrix(EASY["classes"], cfg.embed_dim, -1.0, 1.0), frozen=True)
-        records = ds.shapes("train")
+        shapes = ds.shapes("train")
         perm_rng = Rng(13)
-        permuted = [replace(r, features=r.features[perm_rng.permutation(EASY["views"])]) for r in records]
-        assert any(not np.array_equal(a.features, b.features) for a, b in zip(records, permuted))
-        m1, r1 = train_stage2(records, classifier, cfg, Rng(14))
+        permuted = shapes._replace(
+            features=np.stack([views[perm_rng.permutation(EASY["views"])] for views in shapes.features])
+        )
+        assert not np.array_equal(shapes.features, permuted.features)
+        m1, r1 = train_stage2(shapes, classifier, cfg, Rng(14))
         m2, r2 = train_stage2(permuted, classifier, cfg, Rng(14))
         assert r1.losses == r2.losses
         for a, b in zip(m1.parameters(), m2.parameters()):
@@ -390,10 +394,10 @@ class TestStage2:
 
     def test_shapes_cluster_to_their_centers(self):
         ds, cfg, _, classifier = self._stage1()
-        records = ds.shapes("train")
-        model, _ = train_stage2(records, classifier, cfg, Rng(10))
-        emb, _ = encode_shape_batch(model, np.stack([r.features for r in records]))
-        acc = center_accuracy(emb, classifier, [r.label for r in records])
+        shapes = ds.shapes("train")
+        model, _ = train_stage2(shapes, classifier, cfg, Rng(10))
+        emb, _ = encode_shape_batch(model, shapes.features)
+        acc = center_accuracy(emb, classifier, shapes.labels)
         assert acc >= 0.99
 
 
@@ -416,10 +420,9 @@ def _reference_fit(cfg, rng, n, params, step):
     return losses
 
 
-def reference_stage1(records, cfg, rng):
+def reference_stage1(samples, cfg, rng):
     """train_stage1 built from the public checked functions alone."""
-    x = np.stack([r.features for r in records])
-    y = np.array([r.label for r in records])
+    x, y = samples.features, samples.labels
     model = init_sketch_model(cfg, rng)
     classifier = init_classifier(cfg, rng)
 
@@ -429,14 +432,13 @@ def reference_stage1(records, cfg, rng):
         loss, dmu, dlogvar, dw = uncertainty_loss(z, mu, logvar, classifier, y[batch], cfg.sketch_margins(), cfg.lam)
         return loss, sketch_backward(model, cache, dmu, dlogvar) + [dw]
 
-    losses = _reference_fit(cfg, rng, len(records), model.parameters() + [classifier.weights], step)
+    losses = _reference_fit(cfg, rng, len(y), model.parameters() + [classifier.weights], step)
     return model, classifier.freeze(), losses
 
 
-def reference_stage2(records, classifier, cfg, rng):
+def reference_stage2(samples, classifier, cfg, rng):
     """train_stage2 built from the public checked functions alone."""
-    x = np.stack([r.features for r in records])
-    y = np.array([r.label for r in records])
+    x, y = samples.features, samples.labels
     model = init_shape_model(cfg, rng)
 
     def step(batch):
@@ -444,7 +446,7 @@ def reference_stage2(records, classifier, cfg, rng):
         loss, df, _ = transfer_loss(f, classifier, y[batch], cfg.shape_margins())
         return loss, shape_backward(model, cache, df)
 
-    return model, _reference_fit(cfg, rng, len(records), model.parameters(), step)
+    return model, _reference_fit(cfg, rng, len(y), model.parameters(), step)
 
 
 DESK = dict(hidden=(64, 64), embed_dim=32, batch_size=8, lr0=0.08, max_epochs=60)
@@ -479,7 +481,7 @@ class TestSameBitsAsReference:
         cfg = easy_cfg(**{**base, **overrides})
         sketches, shapes = ds.sketches("train"), ds.shapes("train")
         if name in ("batch_not_dividing_n", "odd_batch_odd_embed_dim"):
-            assert len(sketches) % cfg.batch_size  # a short last batch
+            assert len(sketches.ids) % cfg.batch_size  # a short last batch
 
         model, classifier, report = train_stage1(sketches, cfg, Rng(22))
         ref_model, ref_classifier, ref_losses = reference_stage1(sketches, cfg, Rng(22))
