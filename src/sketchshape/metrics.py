@@ -21,17 +21,22 @@ definitions produces bit-identical averages.
 
 Queries are ranked and scored in blocks of BLOCK_QUERIES, so memory grows
 with BLOCK_QUERIES x G rather than with Q x G; each block's similarities
-are one matrix product of unit-length rows.  A block's similarity rows
-are sorted with numpy's default argsort, the fastest; a row in which two
-sorted keys are equal is sorted again with a stable sort, which keeps equal
-similarities in gallery order.  A row without equal keys has exactly one
-sorted order, so both sorts agree on it.  Embeddings must be finite: NaN
-compares unequal to itself and would hide a tie.  Equal cosines rank by
-gallery position only where both round to the same value, as for identical
-or all-zero rows; parallel rows such as (1, 1) and (3, 3) may not.  Every
-metric, and the interpolated precision-recall curve, follows from the ranks
-of the relevant items alone, and all of them come from one function,
-``_score_block``; the single-query functions call it with a one-row block.
+are one matrix product of unit-length rows.  Every metric, and the
+interpolated precision-recall curve, follows from the ranks of the
+relevant items alone, so the block ranks similarity values, not gallery
+positions: numpy's value sort orders a copy of each row's keys, and the
+relevant items' keys, sorted too, are found by binary search in the sorted
+row, which yields their ranks in ascending order.  Where no two keys of a
+row are equal these ranks are exact.  A row in which two sorted keys are
+equal (+0.0 and -0.0 included) falls back to a stable argsort, which keeps
+equal similarities in gallery order.  Beyond the similarities themselves
+a block holds one sorted copy of them and a boolean relevance mask.
+Embeddings must be finite: NaN compares unequal to itself and would hide
+a tie.  Repeated gallery rows always tie, since each distinct row is
+multiplied once.  Other equal cosines rank by gallery position only where
+both round to the same value, as for all-zero rows; parallel rows such as
+(1, 1) and (3, 3) may not.  All six metrics come from one function,
+``_score_block``; the single-query functions call it with one row.
 
 The DCG discounts come from math.log2, as in the brute-force oracle, since
 np.log2 may differ from it in the last ulp.
@@ -96,11 +101,11 @@ def _ids(ids, count: int) -> list:
     return ids
 
 
-def _ranked_blocks(queries, gallery, query_labels, gallery_labels):
-    """Yield (start, order, rel) per block of up to BLOCK_QUERIES queries
-    from row ``start`` on: ``order[i]`` holds the gallery positions by
-    descending cosine, ties by ascending position, and ``rel[i]`` marks
-    which of them share query ``start + i``'s label."""
+def _blocks(queries, gallery, query_labels, gallery_labels):
+    """Yield (start, keys, rel) per block of up to BLOCK_QUERIES queries
+    from row ``start`` on: ``keys[i]`` holds the negated cosine of query
+    ``start + i`` to every gallery item, so ascending keys rank best match
+    first, and ``rel[i]`` marks the gallery items that share its label."""
     queries = require_finite(np.asarray(queries, dtype=np.float64), "queries")
     gallery = require_finite(np.asarray(gallery, dtype=np.float64), "gallery")
     if queries.ndim != 2 or gallery.ndim != 2 or queries.shape[1] != gallery.shape[1]:
@@ -113,7 +118,19 @@ def _ranked_blocks(queries, gallery, query_labels, gallery_labels):
         if labels.shape != rows.shape[:1]:
             raise ValueError(f"{name} has shape {labels.shape} for {rows.shape[0]} {name.partition('_')[0]} rows")
     unit_queries = l2_normalize_rows(queries)
-    unit_gallery_t = l2_normalize_rows(gallery).T
+    unit_gallery = l2_normalize_rows(gallery)
+    # BLAS may round one dot product differently in different output
+    # columns, so a repeated gallery row need not tie with itself.  A
+    # gallery with repeats is multiplied by its distinct rows, and each item
+    # takes its row's column.  Adding 0.0 turns -0.0 into 0.0, so rows that
+    # compare equal have equal bytes.
+    row_bytes = (unit_gallery + 0.0).view(np.dtype((np.void, 8 * unit_gallery.shape[1]))).ravel()
+    _, first, columns = np.unique(row_bytes, return_index=True, return_inverse=True)
+    if first.size < columns.size:
+        unit_gallery = unit_gallery[first]
+    else:
+        columns = slice(None)
+    unit_gallery_t = unit_gallery.T
     # numpy multiplies a one-row block as a vector (gemv), which may round
     # differently from the matrix product (gemm) that ranks every other
     # block, so a single leftover query joins the block before it.
@@ -122,13 +139,22 @@ def _ranked_blocks(queries, gallery, query_labels, gallery_labels):
     if count > 1 and count % BLOCK_QUERIES == 1:
         starts.pop()
     for start, stop in zip(starts, starts[1:] + [count]):
-        keys = -(unit_queries[start:stop] @ unit_gallery_t)
-        order = np.argsort(keys, axis=1)
-        ranked = np.take_along_axis(keys, order, axis=1)
-        tied = np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)
-        if tied.any():
-            order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
-        yield start, order, gallery_labels[order] == query_labels[start:stop, None]
+        keys = -(unit_queries[start:stop] @ unit_gallery_t)[:, columns]
+        yield start, keys, gallery_labels == query_labels[start:stop, None]
+
+
+def _relevant_ranks(keys, rel) -> list:
+    """Per row of a block from ``_blocks``, the ascending 0-based ranks of
+    its relevant items, ties ranked by gallery position."""
+    ordered = np.sort(keys, axis=1)
+    tied = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1).tolist()
+    ranks = []
+    for row_keys, row_sorted, row_rel, row_tied in zip(keys, ordered, rel, tied):
+        if row_tied:
+            ranks.append(np.flatnonzero(row_rel[np.argsort(row_keys, kind="stable")]))
+        else:
+            ranks.append(np.searchsorted(row_sorted, np.sort(row_keys[row_rel])))
+    return ranks
 
 
 def rank(queries, gallery, query_labels, gallery_labels, query_ids=None, gallery_ids=None):
@@ -142,10 +168,12 @@ def rank(queries, gallery, query_labels, gallery_labels, query_ids=None, gallery
     """
     query_ids = _ids(query_ids, len(queries))
     ranked = []
-    for start, order, rel in _ranked_blocks(queries, gallery, query_labels, gallery_labels):
-        for i, (positions, hits) in enumerate(zip(order.tolist(), rel.astype(np.int64))):
+    for start, keys, rel in _blocks(queries, gallery, query_labels, gallery_labels):
+        order = np.argsort(keys, axis=1, kind="stable")
+        hits = np.take_along_axis(rel, order, axis=1).astype(np.int64)
+        for i, positions in enumerate(order.tolist()):
             ids = positions if gallery_ids is None else [gallery_ids[j] for j in positions]
-            ranked.append(RankedList(query_ids[start + i], ids, hits))
+            ranked.append(RankedList(query_ids[start + i], ids, hits[i]))
     return ranked
 
 
@@ -154,33 +182,34 @@ def _discounts(size: int) -> np.ndarray:
     return np.array([1.0] + [1.0 / math.log2(k) for k in range(2, size + 1)])
 
 
-def _score_block(rel, discounts):
-    """Six metrics and 11-point interpolated precisions for every row of a
-    boolean relevance matrix: one query per row, best rank first, at least
-    one relevant item per row, and ``discounts`` from ``_discounts`` of the
-    row length.
+def _score_block(ranks, discounts):
+    """Six metrics and 11-point interpolated precisions for every query of
+    a block, given as the ascending 0-based ranks of its relevant items (at
+    least one per query) in a gallery of ``discounts.size`` items, with
+    ``discounts`` from ``_discounts`` of that size.
 
     Returns a list with one (nn, ft, st, e, dcg, ap) tuple of floats per
-    row and a rows x 11 array of interpolated precisions.  The j-th of a
-    row's R relevant items, found at rank k, has precision j / k and
+    query and a queries x 11 array of interpolated precisions.  The j-th of
+    a query's R relevant items, found at rank k, has precision j / k and
     recall j / R; precision falls between relevant items, so they alone
     decide every metric.
     """
-    size = rel.shape[1]
-    if not rel.shape[0]:
+    size = discounts.size
+    if not ranks:
         return [], np.empty((0, len(PR_RECALL_LEVELS)))
-    totals = rel.sum(axis=1)
-    row, col = np.nonzero(rel)  # relevant items, row by row, best rank first
+    totals = np.array([r.size for r in ranks], dtype=np.int64)
+    col = np.concatenate(ranks)  # relevant items' ranks, query by query
+    row = np.repeat(np.arange(totals.size), totals)
     first = np.cumsum(totals) - totals  # each row's first entry in row / col
     nth = np.arange(1, col.size + 1) - first[row]
     precision = nth / (col + 1)
     recall = nth / totals[row]
 
     def found(within):
-        """Relevant items per row ranked within the top ``within``."""
+        """Relevant items per query ranked within the top ``within``."""
         return np.bincount(row[col < within], minlength=totals.size)
 
-    nn = rel[:, 0].astype(np.float64)
+    nn = (col[first] == 0).astype(np.float64)
     ft = found(totals[row]) / totals
     st = found(np.minimum(2 * totals, size)[row]) / totals
     cutoff = min(E_MEASURE_CUTOFF, size)
@@ -214,10 +243,10 @@ def _score_block(rel, discounts):
 def _score_one(r: RankedList):
     """_score_block for one ranked list: its metrics tuple and its list of
     interpolated precisions."""
-    rel = np.asarray(r.relevance, dtype=bool)
-    if not rel.any():
+    relevant = np.flatnonzero(r.relevance)
+    if not relevant.size:
         raise ValueError(f"query {r.query_id}: no relevant gallery items, metrics undefined")
-    [metrics], pr = _score_block(rel[None, :], _discounts(rel.size))
+    [metrics], pr = _score_block([relevant], _discounts(len(r.relevance)))
     return metrics, pr[0].tolist()
 
 
@@ -278,9 +307,9 @@ def evaluate(queries, gallery, query_labels, gallery_labels, query_ids=None) -> 
     per_query = []
     excluded = []
     pr_blocks = []
-    for start, _, rel in _ranked_blocks(queries, gallery, query_labels, gallery_labels):
+    for start, keys, rel in _blocks(queries, gallery, query_labels, gallery_labels):
         found = rel.any(axis=1)
-        metrics, pr = _score_block(rel[found], discounts)
+        metrics, pr = _score_block(list(compress(_relevant_ranks(keys, rel), found)), discounts)
         ids = query_ids[start : start + len(rel)]
         excluded.extend(compress(ids, ~found))
         per_query.extend(PerQueryMetrics(qid, *m) for qid, m in zip(compress(ids, found), metrics))

@@ -97,9 +97,27 @@ class Rng:
                 return u % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by integer()."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.integer(i + 1)
+        """In-place Fisher-Yates shuffle: swaps item i with item
+        integer(i + 1) for i from len(items) - 1 down to 1.
+
+        The raw outputs are drawn as one block.  If integer() would reject
+        any of them, the state is restored and integer() draws them one by
+        one, so the stream is the same either way."""
+        n = len(items)
+        if n < 2:
+            return
+        saved = self._state
+        sizes = np.arange(n, 1, -1, dtype=np.uint64)
+        raw = self._raw_block(n - 1)
+        # integer(m) rejects raw >= 2^64 - (2^64 mod m); 2^64 does not fit
+        # in uint64, so compare raw > (2^64 - 1) - (2^64 mod m) instead.
+        top = np.uint64(_MASK)
+        if np.any(raw > top - (top % sizes + np.uint64(1)) % sizes):
+            self._state = saved
+            picks = [self.integer(i + 1) for i in range(n - 1, 0, -1)]
+        else:
+            picks = (raw % sizes).tolist()
+        for i, j in zip(range(n - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
     def permutation(self, n: int) -> list:

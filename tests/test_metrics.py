@@ -2,6 +2,7 @@
 brute-force oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from reference import evaluate_bruteforce, rank_bruteforce, six_metrics_brutefor
 from sketchshape.metrics import (
     BLOCK_QUERIES,
     RankedList,
+    _blocks,
+    _relevant_ranks,
     average_precision,
     dcg,
     e_measure,
@@ -106,6 +109,101 @@ class TestRank:
     def test_empty_gallery_rejected(self):
         with pytest.raises(ValueError, match="gallery"):
             rank(np.ones((1, 2)), np.zeros((0, 2)), [0], [])
+
+
+def _exact_ties_only(query, gallery):
+    """Whether the query's nonzero cosines to the gallery rows are pairwise
+    distinct as exact numbers.  Mathematically equal cosines of different
+    rows may round differently in the library and the oracle, so only the
+    exact zeros may tie."""
+    squares = []
+    for row in gallery:
+        d = sum(a * b for a, b in zip(query, row))
+        if d:
+            squares.append(Fraction(d * d, sum(b * b for b in row)))
+    return len(set(squares)) == len(squares)
+
+
+def _tie_instance(duplicates):
+    """(queries, gallery, qlabels, glabels): 2 * BLOCK_QUERIES + 1 integer
+    queries against 300 distinct, pairwise non-parallel, non-negative
+    integer gallery rows, among them (1, 0, 0, 0), and one all-zero row.
+
+    A query's cosine is exactly 0, in the library and the oracle alike, to
+    the zero row and to every row whose support is disjoint from its own.
+    So a query whose first entry is 0 ties the zero row with (1, 0, 0, 0),
+    an all-zero query ties everywhere, and a query with all four entries
+    positive has no tie.  With ``duplicates``, 20 gallery rows come again
+    under another label and three more all-zero rows are added, which ties
+    every query.
+    """
+    rng = Rng(12)
+    gallery = [[1, 0, 0, 0]]
+    while len(gallery) < 300:
+        row = [rng.integer(6) for _ in range(4)]
+        if math.gcd(*row) == 1 and row not in gallery:
+            gallery.append(row)
+    gallery.insert(150, [0, 0, 0, 0])
+    queries = []
+    while len(queries) < 2 * BLOCK_QUERIES + 1:
+        i = len(queries)
+        query = [0 if k == 0 and i % 3 == 0 else 1 + rng.integer(1000) for k in range(4)]
+        if i % 17 == 0:
+            queries.append([0, 0, 0, 0])
+        elif _exact_ties_only(query, gallery):
+            queries.append(query)
+    qlabels = [rng.integer(5) for _ in queries]
+    glabels = [rng.integer(5) for _ in gallery]
+    if duplicates:
+        for i in range(0, 200, 10):
+            gallery.append(gallery[i])
+            glabels.append((glabels[i] + 1) % 5)
+        for at in (0, 77, len(gallery)):
+            gallery.insert(at, [0, 0, 0, 0])
+            glabels.insert(at, 1)
+    return np.array(queries, dtype=np.float64), np.array(gallery, dtype=np.float64), qlabels, glabels
+
+
+def _tied_rows(keys):
+    ordered = np.sort(keys, axis=1)
+    return np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+
+
+class TestTiedRows:
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_relevant_ranks_follow_the_stable_sort(self, duplicates):
+        queries, gallery, qlabels, glabels = _tie_instance(duplicates)
+        blocks = list(_blocks(queries, gallery, qlabels, glabels))
+        assert [len(keys) for _, keys, _ in blocks] == [BLOCK_QUERIES, BLOCK_QUERIES + 1]
+        for _, keys, rel in blocks:
+            tied = _tied_rows(keys)
+            if duplicates:
+                assert tied.all()
+            else:
+                assert tied.any() and not tied.all()
+            want = np.take_along_axis(rel, np.argsort(keys, axis=1, kind="stable"), axis=1)
+            got = _relevant_ranks(keys, rel)
+            assert len(got) == len(want)
+            for ranks, row in zip(got, want):
+                np.testing.assert_array_equal(ranks, np.flatnonzero(row))
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_evaluate_matches_bruteforce_bitwise(self, duplicates):
+        queries, gallery, qlabels, glabels = _tie_instance(duplicates)
+        report = evaluate(queries, gallery, qlabels, glabels)
+        means, aps = evaluate_bruteforce(queries.tolist(), gallery.tolist(), qlabels, glabels)
+        assert (report.nn, report.ft, report.st, report.e, report.dcg, report.map) == means
+        assert report.per_query_ap == aps
+
+    def test_signed_zero_keys_take_the_stable_sort(self):
+        # +0.0 and -0.0 compare equal: a binary search would give both
+        # relevant zeros of the first row rank 0, the stable sort ranks
+        # them 1 and 2, after the 0.0 at position 0
+        keys = np.array([[0.0, -0.0, 0.5, -0.0], [0.25, -0.5, 0.5, 0.0]])
+        rel = np.array([[False, True, False, True], [True, False, True, True]])
+        assert _tied_rows(keys).tolist() == [True, False]
+        got = _relevant_ranks(keys, rel)
+        assert [r.tolist() for r in got] == [[1, 2], [1, 2, 3]]
 
 
 class TestAveragePrecision:

@@ -92,3 +92,50 @@ def test_shuffle_is_permutation_and_deterministic():
 
 def test_permutation_helper():
     assert sorted(Rng(3).permutation(17)) == list(range(17))
+
+
+def _scalar_permutation(r, n):
+    """Fisher-Yates with one integer() call per swap, the stream the block
+    draw must reproduce."""
+    idx = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = r.integer(i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 500])
+def test_block_permutation_and_shuffle_match_scalar_loop(n):
+    for seed in range(50):
+        block, shuffled, scalar = Rng(seed), Rng(seed), Rng(seed)
+        want = _scalar_permutation(scalar, n)
+        items = list(range(n))
+        shuffled.shuffle(items)
+        assert block.permutation(n) == want
+        assert items == want
+        assert block.next_u64() == shuffled.next_u64() == scalar.next_u64()
+
+
+def test_rejected_block_draw_falls_back_to_scalar_loop(monkeypatch):
+    calls = []
+    next_u64, raw_block = Rng.next_u64, Rng._raw_block
+
+    def counted_next_u64(self):
+        calls.append(1)
+        return next_u64(self)
+
+    def rejected_raw_block(self, n):
+        raw = raw_block(self, n)
+        # integer(17) rejects raw >= 2^64 - (2^64 mod 17) = 2^64 - 1
+        raw[0] = np.uint64((1 << 64) - 1)
+        return raw
+
+    want_rng = Rng(4)
+    want = _scalar_permutation(want_rng, 17)
+    monkeypatch.setattr(Rng, "next_u64", counted_next_u64)
+    monkeypatch.setattr(Rng, "_raw_block", rejected_raw_block)
+    got_rng = Rng(4)
+    assert got_rng.permutation(17) == want
+    assert len(calls) == 16  # the scalar loop drew every swap
+    monkeypatch.undo()
+    assert got_rng.next_u64() == want_rng.next_u64()
