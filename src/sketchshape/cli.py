@@ -23,7 +23,6 @@ from .model import (
     encode_shape_batch,
     encode_sketch_batch,
     load_checkpoint,
-    load_sketch_checkpoint,
     save_shape_checkpoint,
     save_sketch_checkpoint,
 )
@@ -41,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 def _train_config(command: str, args, manifest) -> TrainConfig:
     """The config file or the defaults, then --epochs, --seed and the dataset's sizes; printed."""
     cfg = load_config(args.config) if args.config else TrainConfig()
-    overrides = {"feature_dim": manifest.feature_dim, "classes": manifest.classes, "views": manifest.views}
+    overrides = {"feature_dim": manifest.feature_dim, "classes": manifest.classes}
     if args.epochs is not None:
         overrides["max_epochs"] = args.epochs
     if args.seed is not None:
@@ -91,9 +90,7 @@ def cmd_train_sketch(args) -> int:
 def cmd_train_shape(args) -> int:
     ds = data_mod.load_dataset(args.data, "shape")
     cfg = _train_config("train-shape", args, ds.manifest)
-    _, classifier = load_sketch_checkpoint(args.checkpoint)
-    if not classifier.frozen:
-        classifier = classifier.freeze()
+    classifier = load_checkpoint(args.checkpoint, "sketch")[2].freeze()
     model, report = train_stage2(ds.shapes("train"), classifier, cfg, Rng(cfg.seed))
     return _write_run("train-shape", args.out, "shape.ckpt", "stage2_report.txt", report, save_shape_checkpoint, model)
 
@@ -101,9 +98,7 @@ def cmd_train_shape(args) -> int:
 def _encode_split(args, only=None):
     """(samples of ``args.split``, encoder outputs), reading the checkpoint
     (of kind ``only`` if given) before the dataset of its kind."""
-    kind, model, _ = load_checkpoint(args.checkpoint)
-    if only is not None and kind != only:
-        raise ValueError(f"{args.checkpoint}: expected a {only} checkpoint, found kind {kind!r}")
+    kind, model, _ = load_checkpoint(args.checkpoint, only)
     samples = data_mod.load_dataset(args.data, kind).subset(kind, args.split)
     if not samples.ids:
         raise ValueError(f"no {kind} records in split {args.split!r}")

@@ -257,6 +257,39 @@ def _text_lines(path):
             yield lineno, line
 
 
+def _key_values(path, lines, comment=None) -> dict:
+    """{key: (line number, raw value)} of the ``key = value`` lines among the
+    (line number, line) pairs of file ``path``, skipping blank lines and any
+    ``comment``; a line without '=' or a repeated key raises ValueError."""
+    entries = {}
+    for lineno, line in lines:
+        text = (line.split(comment, 1)[0] if comment else line).strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ValueError(f"{path} line {lineno}: expected key = value, got {line.strip()!r}")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        if key in entries:
+            raise ValueError(f"{path} line {lineno}: key {key!r} repeats line {entries[key][0]}")
+        entries[key] = lineno, raw
+    return entries
+
+
+def _typed_value(path, entries, key, kind=str, least=None):
+    """``kind(raw value)`` of ``key`` in ``_key_values``' entries; a missing
+    key or a value ``kind`` rejects or below ``least`` raises ValueError."""
+    if key not in entries:
+        raise ValueError(f"{path}: missing key {key!r}")
+    lineno, raw = entries[key]
+    try:
+        value = kind(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path} line {lineno}: {key}: {exc}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{path} line {lineno}: {key} must be >= {least}, got {value}")
+    return value
+
+
 def read_feature_csv(path):
     """Returns the columns (ids, labels, splits, modalities, matrix), labels
     as int64 and matrix as float64 rows x dim; raises with the offending
@@ -365,40 +398,20 @@ def save_dataset(ds: Dataset, outdir) -> None:
 
 
 def load_manifest(path) -> Manifest:
-    entries = {}
     lines = _text_lines(path)
     magic = next(lines, (1, ""))[1].rstrip("\n")
     if magic != MANIFEST_MAGIC:
         raise ValueError(f"{path}: bad manifest magic {magic!r}")
-    for lineno, line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path} line {lineno}: expected key = value")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        entries[key] = (lineno, raw)
-
-    def value(key, kind=str, least=None):
-        if key not in entries:
-            raise ValueError(f"{path}: missing key {key!r}")
-        lineno, raw = entries[key]
-        try:
-            v = kind(raw)
-        except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {key}: {exc}") from None
-        if least is not None and v < least:
-            raise ValueError(f"{path} line {lineno}: {key} must be >= {least}, got {v}")
-        return v
-
+    entries = _key_values(path, lines)
     return Manifest(
-        classes=value("classes", int, least=2),
-        feature_dim=value("feature_dim", int),
-        views=value("views", int, least=1),
-        counts={key[len("count_") :]: value(key, int) for key in entries if key.startswith("count_")},
-        noise_frac=value("noise_frac", float),
-        noise_mode=value("noise_mode"),
-        seed=value("seed", int),
+        classes=_typed_value(path, entries, "classes", int, least=2),
+        feature_dim=_typed_value(path, entries, "feature_dim", int),
+        views=_typed_value(path, entries, "views", int, least=1),
+        counts={key[len("count_") :]: _typed_value(path, entries, key, int)
+                for key in entries if key.startswith("count_")},
+        noise_frac=_typed_value(path, entries, "noise_frac", float),
+        noise_mode=_typed_value(path, entries, "noise_mode"),
+        seed=_typed_value(path, entries, "seed", int),
     )
 
 

@@ -13,13 +13,15 @@ Forward passes return caches consumed by the matching ``*_backward``
 functions; parameters are plain float64 arrays updated in place by the
 trainer.  The public ``encode_*_batch`` functions check that their outputs
 are finite; the private ``_sketch_forward`` and ``_shape_forward``, which
-training runs on every step, do arithmetic only.  Checkpoints are a
-line-oriented text format (magic string, one shape header per matrix,
-repr-encoded rows) that round-trips bitwise.
+training runs on every step, do arithmetic only.  A model's dataclass
+fields are its networks, in the order of its parameters, their gradients
+and its checkpoint's matrices (``_named_matrices``).  Checkpoints are text
+that round-trips bitwise; ``load_checkpoint`` accepts only what the writer
+writes.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,13 +48,6 @@ class Mlp:
     def output_dim(self) -> int:
         return self.layers[-1][0].shape[0]
 
-    def parameters(self) -> list:
-        out = []
-        for w, b in self.layers:
-            out.append(w)
-            out.append(b)
-        return out
-
 
 def mlp_forward(mlp: Mlp, x: np.ndarray):
     """Batch forward pass; returns (output, cache)."""
@@ -71,8 +66,8 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
 
 
 def mlp_backward(mlp: Mlp, cache, dout: np.ndarray, input_grad: bool = True):
-    """Returns (dinput, grads) with grads ordered like Mlp.parameters();
-    dinput is None when input_grad is false."""
+    """Returns (dinput, grads) with grads ordered weight, bias, layer by
+    layer; dinput is None when input_grad is false."""
     pres, acts = cache
     last = len(mlp.layers) - 1
     grads = [None] * (2 * len(mlp.layers))
@@ -93,7 +88,7 @@ class SketchModel:
     logvar_head: Mlp
 
     def parameters(self) -> list:
-        return self.backbone.parameters() + self.mu_head.parameters() + self.logvar_head.parameters()
+        return [a for _, a in _named_matrices(self)]
 
 
 @dataclass
@@ -102,7 +97,7 @@ class ShapeModel:
     proj: Mlp
 
     def parameters(self) -> list:
-        return self.backbone.parameters() + self.proj.parameters()
+        return [a for _, a in _named_matrices(self)]
 
 
 def reparameterize(mu, logvar, eps):
@@ -268,10 +263,19 @@ def init_classifier(cfg, rng: Rng) -> Classifier:
     return Classifier(glorot_matrix(rng, cfg.classes, cfg.embed_dim), frozen=False)
 
 
-def _mlp_matrices(prefix: str, mlp: Mlp):
-    for i, (w, b) in enumerate(mlp.layers):
-        yield f"{prefix}.{i}.weight", w
-        yield f"{prefix}.{i}.bias", b
+_KINDS = {"sketch": SketchModel, "shape": ShapeModel}
+_HEADERS = {"kind": tuple(_KINDS), "classifier_frozen": ("true", "false")}
+
+
+def _named_matrices(model, classifier: Classifier | None = None):
+    """(name, matrix) in file order: ``<field>.<i>.weight`` and ``.bias`` for
+    each layer of each network field, then any ``classifier.weight``."""
+    for f in fields(model):
+        for i, (w, b) in enumerate(getattr(model, f.name).layers):
+            yield f"{f.name}.{i}.weight", w
+            yield f"{f.name}.{i}.bias", b
+    if classifier is not None:
+        yield "classifier.weight", classifier.weights
 
 
 def _write_checkpoint(path, kind: str, meta: dict, named_matrices) -> None:
@@ -289,29 +293,20 @@ def _write_checkpoint(path, kind: str, meta: dict, named_matrices) -> None:
 
 
 def save_sketch_checkpoint(path, model: SketchModel, classifier: Classifier) -> None:
-    _write_checkpoint(
-        path,
-        "sketch",
-        {"classifier_frozen": "true" if classifier.frozen else "false"},
-        [
-            *_mlp_matrices("backbone", model.backbone),
-            *_mlp_matrices("mu_head", model.mu_head),
-            *_mlp_matrices("logvar_head", model.logvar_head),
-            ("classifier.weight", classifier.weights),
-        ],
-    )
+    frozen = "true" if classifier.frozen else "false"
+    _write_checkpoint(path, "sketch", {"classifier_frozen": frozen}, _named_matrices(model, classifier))
 
 
 def save_shape_checkpoint(path, model: ShapeModel) -> None:
-    _write_checkpoint(
-        path, "shape", {}, [*_mlp_matrices("backbone", model.backbone), *_mlp_matrices("proj", model.proj)]
-    )
+    _write_checkpoint(path, "shape", {}, _named_matrices(model))
 
 
 def _read_checkpoint(path):
-    """Parse a checkpoint once; returns (kind, meta, matrices).  A malformed
-    matrix header or row, or a non-finite value, raises ValueError naming
-    the file and the line."""
+    """Parse a checkpoint once; returns (meta, matrices), mapping each header
+    key and matrix name to (line number, value).  Header lines (``_HEADERS``
+    gives their values) come once each, before the matrices; a matrix comes
+    once, its header followed by exactly its rows.  Any other non-blank line,
+    a malformed row or a non-finite value raises ValueError naming the line."""
     meta = {}
     matrices = {}
     lines = _text_lines(path)
@@ -322,70 +317,81 @@ def _read_checkpoint(path):
         parts = line.split()
         if not parts:
             continue
-        if parts[0] != "matrix":
-            meta[parts[0]] = parts[1] if len(parts) > 1 else ""
-            continue
         header = f"{path} line {lineno}"
-        if len(parts) != 4 or not (parts[2].isdigit() and parts[3].isdigit()):
-            raise ValueError(f"{header}: expected 'matrix <name> <rows> <cols>', got {line.strip()!r}")
+        if parts[0] != "matrix":
+            if matrices:
+                raise ValueError(f"{header}: stray line {line.strip()!r} after the {rows} rows of matrix {name}")
+            if len(parts) != 2 or parts[1] not in _HEADERS.get(parts[0], ()):
+                raise ValueError(f"{header}: expected 'kind sketch|shape' or 'classifier_frozen true|false', "
+                                 f"got {line.strip()!r}")
+            if parts[0] in meta:
+                raise ValueError(f"{header}: {parts[0]} repeats line {meta[parts[0]][0]}")
+            meta[parts[0]] = lineno, parts[1]
+            continue
+        if len(parts) != 4 or not all(p.isdigit() and int(p) > 0 for p in parts[2:]):
+            raise ValueError(f"{header}: expected 'matrix <name> <rows> <cols>' with sizes >= 1, got {line.strip()!r}")
         name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+        if name in matrices:
+            raise ValueError(f"{header}: matrix {name} repeats line {matrices[name][0]}")
         data = []  # grows with the rows read, never with the header's count
         for r in range(rows):
-            lineno, line = next(lines, (lineno + 1, ""))
+            at, line = next(lines, (lineno + r + 1, ""))
             vals = line.split()
             if len(vals) != cols:
-                raise ValueError(f"{path} line {lineno}: matrix {name} row {r} has {len(vals)} values, expected {cols}")
+                raise ValueError(f"{path} line {at}: matrix {name} row {r} has {len(vals)} values, expected {cols}")
             try:
                 data.append([float(v) for v in vals])
             except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
-        matrices[name] = require_finite(np.array(data).reshape(rows, cols), f"{header}: matrix {name}")
-    return meta.pop("kind", ""), meta, matrices
+                raise ValueError(f"{path} line {at}: {exc}") from None
+        matrices[name] = lineno, require_finite(np.array(data).reshape(rows, cols), f"{header}: matrix {name}")
+    return meta, matrices
 
 
-def _collect_mlp(path, matrices, prefix: str, input_dim=None) -> Mlp:
-    """Layers prefix.0, prefix.1, ... up to the first missing weight: at
-    least one, each with a bias, each taking the previous layer's output."""
-    layers = []
-    while f"{prefix}.{len(layers)}.weight" in matrices:
-        name = f"{prefix}.{len(layers)}"
-        w, b = matrices[f"{name}.weight"], matrices.get(f"{name}.bias")
-        if b is None:
-            raise ValueError(f"{path}: missing matrix {name}.bias")
-        if b.size != w.shape[0] or (input_dim is not None and w.shape[1] != input_dim):
-            raise ValueError(f"{path}: layer {name} is {w.shape[0]}x{w.shape[1]} with {b.size} biases, "
-                             f"expected {input_dim} inputs")
-        layers.append((w, b.reshape(-1)))
-        input_dim = w.shape[0]
-    if not layers:
-        raise ValueError(f"{path}: missing matrix {prefix}.0.weight")
-    return Mlp(layers)
+def load_checkpoint(path, kind=None):
+    """Read a checkpoint, of kind ``kind`` if given, with one parse; returns
+    (kind, model, classifier), the classifier None for a shape checkpoint.
 
-
-def load_checkpoint(path):
-    """Read a checkpoint of either kind with one parse; returns (kind,
-    model, classifier), the classifier None for a shape checkpoint.  A
-    missing or misshapen matrix raises ValueError naming the file."""
-    kind, meta, matrices = _read_checkpoint(path)
-    if kind not in ("sketch", "shape"):
-        raise ValueError(f"{path}: unknown checkpoint kind {kind!r}")
-    backbone = _collect_mlp(path, matrices, "backbone")
-    if kind == "shape":
-        return kind, ShapeModel(backbone, _collect_mlp(path, matrices, "proj", backbone.output_dim)), None
-    mu_head = _collect_mlp(path, matrices, "mu_head", backbone.output_dim)
-    logvar_head = _collect_mlp(path, matrices, "logvar_head", backbone.output_dim)
-    weights = matrices.get("classifier.weight")
-    if weights is None:
-        raise ValueError(f"{path}: missing matrix classifier.weight")
-    if logvar_head.output_dim != mu_head.output_dim or weights.shape[1] != mu_head.output_dim:
-        raise ValueError(f"{path}: logvar_head and classifier.weight must match the {mu_head.output_dim}-dim mu_head")
-    classifier = Classifier(weights, frozen=meta.get("classifier_frozen") == "true")
-    return kind, SketchModel(backbone, mu_head, logvar_head), classifier
-
-
-def load_sketch_checkpoint(path):
-    """(model, classifier) of a sketch checkpoint; any other kind raises."""
-    kind, model, classifier = load_checkpoint(path)
-    if kind != "sketch":
-        raise ValueError(f"{path}: expected a sketch checkpoint, found kind {kind!r}")
-    return model, classifier
+    The fields of the kind's model class (``_KINDS``) are read as networks,
+    the first taking the input features and the others its output.  The
+    file must hold exactly the matrices ``_named_matrices`` gives for the
+    model built, and a ``classifier_frozen`` line if and only if it is a
+    sketch checkpoint; anything else raises ValueError naming the file, and
+    the line where there is one."""
+    meta, matrices = _read_checkpoint(path)
+    found = meta.get("kind", (1, None))[1]
+    if found is None or kind not in (None, found):
+        raise ValueError(f"{path}: expected a {kind or 'sketch or shape'} checkpoint, found kind {found!r}")
+    nets = {}
+    for f in fields(_KINDS[found]):
+        layers, inputs = [], nets["backbone"].output_dim if nets else None
+        while f"{f.name}.{len(layers)}.weight" in matrices:  # each layer with a one-row bias
+            name = f"{f.name}.{len(layers)}"
+            if f"{name}.bias" not in matrices:
+                raise ValueError(f"{path}: missing matrix {name}.bias")
+            (lineno, w), (_, b) = matrices[f"{name}.weight"], matrices[f"{name}.bias"]
+            if b.shape != (1, w.shape[0]) or (inputs is not None and w.shape[1] != inputs):
+                raise ValueError(f"{path} line {lineno}: layer {name} is {w.shape[0]}x{w.shape[1]} with "
+                                 f"{b.shape[0]}x{b.shape[1]} biases, expected {inputs} inputs")
+            layers.append((w, b.reshape(-1)))
+            inputs = w.shape[0]
+        if not layers:
+            raise ValueError(f"{path}: missing matrix {f.name}.0.weight")
+        nets[f.name] = Mlp(layers)
+    model, classifier = _KINDS[found](**nets), None
+    if found == "sketch":
+        if "classifier.weight" not in matrices:
+            raise ValueError(f"{path}: missing matrix classifier.weight")
+        weights, dim = matrices["classifier.weight"][1], model.mu_head.output_dim
+        if model.logvar_head.output_dim != dim or weights.shape[1] != dim or len(weights) < 2:
+            raise ValueError(f"{path}: classifier.weight must be C x {dim} with C >= 2, and logvar_head must "
+                             f"match the {dim}-dim mu_head")
+        if "classifier_frozen" not in meta:
+            raise ValueError(f"{path}: missing line 'classifier_frozen true|false'")
+        classifier = Classifier(weights, frozen=meta["classifier_frozen"][1] == "true")
+    elif "classifier_frozen" in meta:
+        raise ValueError(f"{path} line {meta['classifier_frozen'][0]}: a shape checkpoint has no classifier_frozen")
+    expected = {name for name, _ in _named_matrices(model, classifier)}
+    for name, (lineno, _) in matrices.items():
+        if name not in expected:
+            raise ValueError(f"{path} line {lineno}: unexpected matrix {name} in a {found} checkpoint")
+    return found, model, classifier

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import _text_lines
+from .data import _key_values, _text_lines, _typed_value
 from .losses import Classifier, MarginParams, _margin_core, _uncertainty_core
 from .model import (
     _prepare_sketches,
@@ -52,7 +52,6 @@ class TrainConfig:
     head_hidden: tuple = ()
     embed_dim: int = 32
     classes: int = 10
-    views: int = 12
     batch_size: int = 64
     lr0: float = 4e-4
     max_epochs: int = 200
@@ -67,7 +66,7 @@ class TrainConfig:
     def __post_init__(self):
         self.hidden = tuple(int(h) for h in self.hidden)
         self.head_hidden = tuple(int(h) for h in self.head_hidden)
-        for name in ("feature_dim", "embed_dim", "batch_size", "max_epochs", "views"):
+        for name in ("feature_dim", "embed_dim", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.classes < 2:
@@ -94,35 +93,21 @@ class TrainConfig:
         return MarginParams(self.s_shape, self.m_v)
 
 
-def _parse_field(name, kind, raw):
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    if kind is tuple:
-        return tuple(int(v) for v in raw.split(",") if v.strip() != "")
-    raise ValueError(f"config key {name} has unsupported type {kind}")
+def _int_tuple(raw: str) -> tuple:
+    return tuple(int(v) for v in raw.split(",") if v.strip() != "")
 
 
-_FIELD_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
+_PARSERS = {f.name: {tuple: _int_tuple}.get(type(f.default), type(f.default)) for f in fields(TrainConfig)}
 
 
 def load_config(path, base: TrainConfig = None) -> TrainConfig:
-    """key=value text file; unknown keys are an error, '#' starts a comment."""
-    values = {}
-    for lineno, line in _text_lines(path):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path} line {lineno}: expected key=value, got {line.strip()!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _FIELD_TYPES:
+    """``key = value`` text file of TrainConfig fields; '#' starts a comment,
+    and an unknown or repeated key is an error."""
+    entries = _key_values(path, _text_lines(path), comment="#")
+    for key, (lineno, _) in entries.items():
+        if key not in _PARSERS:
             raise ValueError(f"{path} line {lineno}: unknown config key {key!r}")
-        try:
-            values[key] = _parse_field(key, _FIELD_TYPES[key], raw)
-        except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {key}: {exc}") from None
+    values = {key: _typed_value(path, entries, key, _PARSERS[key]) for key in entries}
     try:
         return replace(base, **values) if base is not None else TrainConfig(**values)
     except ValueError as exc:

@@ -42,7 +42,6 @@ def bench_config(seed, lam=0.005, noise_frac=0.2):
         hidden=(64, 64),
         embed_dim=32,
         classes=10,
-        views=12,
         batch_size=8,
         lr0=0.08,
         max_epochs=60,

@@ -3,12 +3,14 @@ through the CLI.
 
 Each example damages one file that a command reads besides the dataset, by
 truncating it at a byte, by replacing one field (whitespace-separated in
-checkpoints, '='-separated in configs, comma-separated in embedding CSVs)
-or by inserting a non-ASCII character, then runs every command that reads
-that file.  A command must succeed or fail with exit code 2 and a one-line
-``error:`` message (naming the damaged file, for a non-ASCII byte); it
-must never raise, and every checkpoint a successful command writes must
-load.
+checkpoints, '='-separated in configs, comma-separated in embedding CSVs),
+by inserting a non-ASCII character or by duplicating one line, then runs
+every command that reads that file.  A command must succeed or fail with
+exit code 2 and a one-line ``error:`` message (naming the damaged file, for
+a non-ASCII byte or a duplicated line); it must never raise, and every
+checkpoint a successful command writes must load.  A duplicated line of a
+checkpoint or the config fails every command: the readers accept only
+what the writers write.
 """
 
 import contextlib
@@ -90,16 +92,20 @@ def _commands(name, data, here: Path, out: Path):
 
 
 def _run_all(valid, name, damaged: bytes, named=False):
+    """Exit codes of the commands reading file ``name`` damaged as given."""
+    codes = []
     with tempfile.TemporaryDirectory() as tmp:
         here = Path(tmp)
         for other, content in valid["files"].items():
             (here / other).write_bytes(damaged if other == name else content)
         out = here / "out"
+        out.mkdir()  # so that embed, loading a damaged checkpoint, can succeed
         for argv in _commands(name, valid["data"], here, out):
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main([str(a) for a in argv])
             err = stderr.getvalue()
+            codes.append(code)
             assert code in (0, 2), (argv[0], code, err)
             assert "Traceback" not in err
             if code == 2:
@@ -108,6 +114,7 @@ def _run_all(valid, name, damaged: bytes, named=False):
             else:
                 for ckpt in out.rglob("*.ckpt"):
                     load_checkpoint(ckpt)
+    return codes
 
 
 @pytest.mark.parametrize("name", FILES)
@@ -151,3 +158,18 @@ def test_replaced_config_field(valid, key, field, token):
     parts[field] = token + "\n" * field
     lines[i] = "=".join(parts)
     _run_all(valid, "tiny.cfg", "".join(lines).encode("ascii"))
+
+
+@pytest.mark.parametrize("name", ["sketch.ckpt", "shape.ckpt", "tiny.cfg"])
+def test_duplicated_line_rejected(valid, name):
+    """A copy of any one non-blank line inserted right after it: a repeated
+    header, key or matrix header, or a stray row.  Every command reading
+    the file must exit 2; all such files are tried."""
+    lines = valid["files"][name].decode("ascii").splitlines(keepends=True)
+    accepted = []
+    for i, line in enumerate(lines):
+        if line.strip():
+            codes = _run_all(valid, name, "".join(lines[: i + 1] + lines[i:]).encode("ascii"), named=True)
+            if set(codes) != {2}:
+                accepted.append((i + 1, line.strip()[:40], codes))
+    assert accepted == []

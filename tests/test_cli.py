@@ -14,7 +14,7 @@ from sketchshape import data as data_mod
 from sketchshape import model as model_mod
 from sketchshape.cli import main
 from sketchshape.data import load_dataset, load_embeddings
-from sketchshape.model import encode_sketch_batch, load_sketch_checkpoint
+from sketchshape.model import encode_sketch_batch, load_checkpoint, save_shape_checkpoint, save_sketch_checkpoint
 
 
 DESK_CONFIG = "\n".join(
@@ -150,6 +150,42 @@ CHECKPOINT_FAULTS = {
     "bad_value": ("shape.ckpt",
                   lambda t: _edit_matrix_lines(t, "proj.0.weight", lambda h, r: (h, "1.0.0 " + r.split(" ", 1)[1])),
                   r"shape.ckpt line \d+: could not convert"),
+    "layer_gap": ("sketch.ckpt", lambda t: t.replace("matrix backbone.1.", "matrix backbone.7."),
+                  r"sketch.ckpt line \d+: unexpected matrix backbone.7.weight in a sketch checkpoint"),
+    "repeated_matrix": ("sketch.ckpt", lambda t: t + t[t.index("matrix classifier.weight "):],
+                        r"sketch.ckpt line \d+: matrix classifier.weight repeats line \d+"),
+    "extra_row": ("shape.ckpt", lambda t: _edit_matrix_lines(t, "proj.0.weight", lambda h, r: (h, f"{r}\n{r}")),
+                  r"shape.ckpt line \d+: stray line '[^']+' after the 8 rows of matrix proj.0.weight"),
+    "unknown_matrix": ("shape.ckpt", lambda t: t + "matrix extra.weight 1 1\n0.5\n",
+                       r"shape.ckpt line \d+: unexpected matrix extra.weight in a shape checkpoint"),
+    "empty_matrix": ("shape.ckpt",
+                     lambda t: _edit_matrix_lines(t, "proj.0.bias", lambda h, r: (h.replace(" 1 ", " 0 "), "")),
+                     r"shape.ckpt line \d+: expected 'matrix <name> <rows> <cols>' with sizes >= 1"),
+    "bias_column": ("shape.ckpt",
+                    lambda t: _edit_matrix_lines(t, "proj.0.bias",
+                                                 lambda h, r: ("matrix proj.0.bias 8 1", r.replace(" ", "\n"))),
+                    r"shape.ckpt line \d+: layer proj.0 is 8x16 with 8x1 biases"),
+    "one_class": ("sketch.ckpt",
+                  lambda t: t[: t.index("matrix classifier.weight ")] + "matrix classifier.weight 1 8\n"
+                  + t.split("matrix classifier.weight 3 8\n")[1].splitlines()[0] + "\n",
+                  r"sketch.ckpt: classifier.weight must be C x 8 with C >= 2"),
+    "no_kind": ("sketch.ckpt", lambda t: t.replace("kind sketch\n", ""),
+                r"sketch.ckpt: expected a sketch or shape checkpoint, found kind None"),
+    "unknown_header": ("sketch.ckpt", lambda t: t.replace("kind sketch\n", "kind sketch\nseed 5\n"),
+                       r"sketch.ckpt line 3: expected 'kind sketch\|shape' or 'classifier_frozen true\|false', "
+                       r"got 'seed 5'"),
+    "repeated_header": ("shape.ckpt", lambda t: t.replace("kind shape\n", "kind shape\nkind shape\n"),
+                        r"shape.ckpt line 3: kind repeats line 2"),
+    "header_after_matrix": ("sketch.ckpt",
+                            lambda t: t.replace("classifier_frozen true\n", "") + "classifier_frozen true\n",
+                            r"sketch.ckpt line \d+: stray line 'classifier_frozen true' after the 3 rows of matrix "
+                            r"classifier.weight"),
+    "frozen_yes": ("sketch.ckpt", lambda t: t.replace("classifier_frozen true\n", "classifier_frozen yes\n"),
+                   r"sketch.ckpt line 3: expected .* got 'classifier_frozen yes'"),
+    "no_frozen_line": ("sketch.ckpt", lambda t: t.replace("classifier_frozen true\n", ""),
+                       r"sketch.ckpt: missing line 'classifier_frozen true\|false'"),
+    "frozen_in_shape": ("shape.ckpt", lambda t: t.replace("kind shape\n", "kind shape\nclassifier_frozen true\n"),
+                        r"shape.ckpt line 3: a shape checkpoint has no classifier_frozen"),
 }
 
 
@@ -186,6 +222,12 @@ class TestBadInputs:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("hidden = a\n")
         self._fails(self._train_sketch(pipeline["data"], tmp_path, cfg), capsys, r"bad.cfg line 1: hidden")
+
+    def test_repeated_config_key_exits_2(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(DESK_CONFIG + "\nlr0 = 0.2\n")
+        pattern = r"twice.cfg line 6: key 'lr0' repeats line 4"
+        self._fails(self._train_sketch(pipeline["data"], tmp_path, cfg), capsys, pattern)
 
     def test_nan_in_sketches_csv_exits_2(self, pipeline, tmp_path, capsys):
         data = shutil.copytree(pipeline["data"], tmp_path / "data")
@@ -301,6 +343,16 @@ class TestEmbedParsesOnce:
         assert calls == [str(pipeline["run"] / name)]
 
 
+class TestCheckpointRoundTrip:
+    @pytest.mark.parametrize("kind, save", [("sketch", save_sketch_checkpoint), ("shape", save_shape_checkpoint)])
+    def test_save_load_save_writes_the_same_bytes(self, pipeline, tmp_path, kind, save):
+        """A checkpoint the pipeline saved, loaded and saved again."""
+        written = pipeline["run"] / f"{kind}.ckpt"
+        found, model, classifier = load_checkpoint(written, kind)
+        save(tmp_path / "again.ckpt", model, *([classifier] if classifier else []))
+        assert found == kind and (tmp_path / "again.ckpt").read_bytes() == written.read_bytes()
+
+
 class TestGenData:
     def test_writes_dataset(self, pipeline):
         ds = load_dataset(pipeline["data"])
@@ -331,7 +383,7 @@ class TestPipeline:
         assert q.shape[1] == g.shape[1] == 8
 
     def test_embed_matches_library_encode(self, pipeline):
-        model, _ = load_sketch_checkpoint(pipeline["run"] / "sketch.ckpt")
+        _, model, _ = load_checkpoint(pipeline["run"] / "sketch.ckpt", "sketch")
         ds = load_dataset(pipeline["data"])
         sketches = ds.sketches("test")
         ids, _, _, _, matrix = load_embeddings(pipeline["queries"])

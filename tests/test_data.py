@@ -200,6 +200,13 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=r"manifest.txt line 4: views"):
             load_dataset(tmp_path)
 
+    def test_manifest_repeated_key_names_both_lines(self, tmp_path):
+        save_dataset(small_dataset(seed=9), tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "classes = 2\n")
+        with pytest.raises(ValueError, match=r"manifest.txt line 12: key 'classes' repeats line 2"):
+            load_dataset(tmp_path)
+
     def test_manifest_count_mismatch_detected(self, tmp_path):
         ds = small_dataset(seed=9)
         save_dataset(ds, tmp_path)

@@ -20,7 +20,6 @@ from sketchshape.model import (
     init_shape_model,
     init_sketch_model,
     load_checkpoint,
-    load_sketch_checkpoint,
     mlp_backward,
     mlp_forward,
     reparameterize,
@@ -35,7 +34,7 @@ from sketchshape.train import TrainConfig
 
 
 def _tiny_cfg(**overrides):
-    base = dict(feature_dim=5, hidden=(7, 6), embed_dim=4, classes=3, views=3, seed=0)
+    base = dict(feature_dim=5, hidden=(7, 6), embed_dim=4, classes=3, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -324,7 +323,7 @@ class TestCheckpoints:
         classifier = Classifier(rng.uniform_matrix(3, 4, -1.0, 1.0), frozen=True)
         path = tmp_path / "sketch.ckpt"
         save_sketch_checkpoint(path, model, classifier)
-        loaded, loaded_classifier = load_sketch_checkpoint(path)
+        _, loaded, loaded_classifier = load_checkpoint(path, "sketch")
         for pa, pb in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(pa, pb)
         np.testing.assert_array_equal(classifier.weights, loaded_classifier.weights)
@@ -344,7 +343,7 @@ class TestCheckpoints:
         path = tmp_path / "shape.ckpt"
         save_shape_checkpoint(path, model)
         with pytest.raises(ValueError, match="expected a sketch checkpoint"):
-            load_sketch_checkpoint(path)
+            load_checkpoint(path, "sketch")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -54,7 +54,6 @@ def easy_cfg(**overrides):
         hidden=(32, 32),
         embed_dim=8,
         classes=EASY["classes"],
-        views=EASY["views"],
         batch_size=16,
         lr0=0.05,
         max_epochs=30,
@@ -148,7 +147,6 @@ class TestTrainConfig:
         assert (cfg.s_sketch, cfg.m_s) == (30.0, 0.5)
         assert (cfg.s_shape, cfg.m_v) == (15.0, 0.8)
         assert cfg.lam == 0.005
-        assert cfg.views == 12
         assert cfg.momentum == 0.0
 
     def test_validation(self):
@@ -190,6 +188,19 @@ class TestTrainConfig:
         path = tmp_path / "train.cfg"
         path.write_text("not_a_key = 3\n")
         with pytest.raises(ValueError, match="unknown config key"):
+            load_config(path)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("lr0 = 0.1\nmax_epochs = 7\nlr0 = 0.2  # the first lr0 would be lost\n")
+        with pytest.raises(ValueError, match=r"train.cfg line 3: key 'lr0' repeats line 1"):
+            load_config(path)
+
+    def test_views_is_not_a_config_key(self, tmp_path):
+        """A shape's views are the dataset's; training has no views setting."""
+        path = tmp_path / "train.cfg"
+        path.write_text("views = 99\n")
+        with pytest.raises(ValueError, match=r"train.cfg line 1: unknown config key 'views'"):
             load_config(path)
 
     def test_bad_value_names_file_and_line(self, tmp_path):
@@ -260,7 +271,6 @@ class TestStage1:
             hidden=(32, 32),
             embed_dim=16,
             classes=10,
-            views=3,
             batch_size=64,
             lr0=0.005,
             max_epochs=40,
@@ -477,7 +487,7 @@ class TestSameBitsAsReference:
         shape = {**EASY, "test_per_class": 1, **data}
         ds = generate(shape["classes"], shape["train_per_class"], 1, shape["dim"], shape["views"], 0.25,
                       "ambiguous", Rng(21), seed=21)
-        base = dict(feature_dim=shape["dim"], classes=shape["classes"], views=shape["views"], max_epochs=4)
+        base = dict(feature_dim=shape["dim"], classes=shape["classes"], max_epochs=4)
         cfg = easy_cfg(**{**base, **overrides})
         sketches, shapes = ds.sketches("train"), ds.shapes("train")
         if name in ("batch_not_dividing_n", "odd_batch_odd_embed_dim"):
