@@ -18,19 +18,21 @@ bitwise; a non-ASCII byte is an error naming the file and the line):
 
 A feature file (the two above, and the embedding files) is held in memory
 as five columns, from parse to write: ids, labels (int64), splits and
-modalities, and one float64 rows x dim matrix.  It is read in blocks of
-rows: numpy's C parser reads a block's values, which gives float()'s bits,
-and a block with any fault is re-read line by line with float(), so the
-error names the file and the line of the first fault.  It is written in
-blocks of rows too, formatted in a pool of worker processes when the write
-is large and the process may use more than one CPU; the bytes are the same
-either way.  A dataset holds these columns per modality (``Samples``) from
-generate or the parse to the encoder or writer, a shape's view rows as one
+modalities (interned strings, one object per distinct value), and one
+float64 rows x dim matrix.  It is read in blocks of rows: numpy's C parser
+reads a block's values, which gives float()'s bits, and a block with any
+fault is re-read line by line with float(), so the error names the file
+and the line of the first fault.  It is written in blocks of rows too,
+formatted in a pool of worker processes when the write is large and the
+process may use more than one CPU; the bytes are the same either way.  A
+dataset holds these columns per modality (``Samples``) from generate or
+the parse to the encoder or writer, a shape's view rows as one
 N x views x dim block.
 """
 
 import math
 import os
+import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -50,6 +52,10 @@ AMBIGUOUS_NOISE_STD = 0.3
 VIEW_NOISE_STD = 0.1
 
 NOISE_MODES = ("ambiguous", "label")
+
+# The keys of manifest.txt; the four counts are count_<modality>_<split>.
+_MANIFEST_KEYS = ("classes", "feature_dim", "views", "noise_frac", "noise_mode", "seed",
+                  *(f"count_{kind}_{split}" for kind in ("sketch", "shape") for split in ("train", "test")))
 
 # Feature files are parsed and formatted in blocks of this many rows, and a
 # write of at least _POOL_MIN_VALUES values may use a pool of processes.
@@ -257,10 +263,11 @@ def _text_lines(path):
             yield lineno, line
 
 
-def _key_values(path, lines, comment=None) -> dict:
+def _key_values(path, lines, known, what: str, comment=None) -> dict:
     """{key: (line number, raw value)} of the ``key = value`` lines among the
-    (line number, line) pairs of file ``path``, skipping blank lines and any
-    ``comment``; a line without '=' or a repeated key raises ValueError."""
+    (line number, line) pairs of ``what`` file ``path``, skipping blank
+    lines and any ``comment``; a line without '=', a key not in ``known``
+    or a repeated key raises ValueError."""
     entries = {}
     for lineno, line in lines:
         text = (line.split(comment, 1)[0] if comment else line).strip()
@@ -269,15 +276,18 @@ def _key_values(path, lines, comment=None) -> dict:
         if "=" not in text:
             raise ValueError(f"{path} line {lineno}: expected key = value, got {line.strip()!r}")
         key, raw = (part.strip() for part in text.split("=", 1))
+        if key not in known:
+            raise ValueError(f"{path} line {lineno}: unknown {what} key {key!r}")
         if key in entries:
             raise ValueError(f"{path} line {lineno}: key {key!r} repeats line {entries[key][0]}")
         entries[key] = lineno, raw
     return entries
 
 
-def _typed_value(path, entries, key, kind=str, least=None):
+def _typed_value(path, entries, key, kind=str, least=None, most=None):
     """``kind(raw value)`` of ``key`` in ``_key_values``' entries; a missing
-    key or a value ``kind`` rejects or below ``least`` raises ValueError."""
+    key, a value ``kind`` rejects, or one not within ``least`` and ``most``
+    (NaN is within neither) raises ValueError."""
     if key not in entries:
         raise ValueError(f"{path}: missing key {key!r}")
     lineno, raw = entries[key]
@@ -285,9 +295,16 @@ def _typed_value(path, entries, key, kind=str, least=None):
         value = kind(raw)
     except ValueError as exc:
         raise ValueError(f"{path} line {lineno}: {key}: {exc}") from None
-    if least is not None and value < least:
-        raise ValueError(f"{path} line {lineno}: {key} must be >= {least}, got {value}")
+    if (least is not None and not value >= least) or (most is not None and not value <= most):
+        bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{path} line {lineno}: {key} must be {bounds}, got {value}")
     return value
+
+
+def _noise_mode(raw: str) -> str:
+    if raw not in NOISE_MODES:
+        raise ValueError(f"expected one of {', '.join(NOISE_MODES)}, got {raw!r}")
+    return raw
 
 
 def read_feature_csv(path):
@@ -332,8 +349,8 @@ def _read_block(path, block, dim, columns) -> None:
     ids, all_labels, splits, modalities, all_values = columns
     ids.extend(f[0] for f in fields)
     all_labels.extend(labels)
-    splits.extend(f[2] for f in fields)
-    modalities.extend(f[3] for f in fields)
+    splits.extend(sys.intern(f[2]) for f in fields)
+    modalities.extend(sys.intern(f[3]) for f in fields)
     all_values.frombytes(values.tobytes())
 
 
@@ -355,8 +372,8 @@ def _read_lines(path, block, dim, columns) -> None:
         if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
             raise ValueError(f"{path} line {lineno}: row {parts[0]} has non-finite values")
         ids.append(parts[0])
-        splits.append(parts[2])
-        modalities.append(parts[3])
+        splits.append(sys.intern(parts[2]))
+        modalities.append(sys.intern(parts[3]))
         values.extend(row)
 
 
@@ -398,19 +415,23 @@ def save_dataset(ds: Dataset, outdir) -> None:
 
 
 def load_manifest(path) -> Manifest:
+    """The manifest save_dataset writes: only its keys, each once, the
+    counts optional; any other key, or a value out of range (noise_mode
+    outside NOISE_MODES, noise_frac outside [0, 1]), raises ValueError
+    naming the line."""
     lines = _text_lines(path)
     magic = next(lines, (1, ""))[1].rstrip("\n")
     if magic != MANIFEST_MAGIC:
         raise ValueError(f"{path}: bad manifest magic {magic!r}")
-    entries = _key_values(path, lines)
+    entries = _key_values(path, lines, _MANIFEST_KEYS, "manifest")
     return Manifest(
         classes=_typed_value(path, entries, "classes", int, least=2),
         feature_dim=_typed_value(path, entries, "feature_dim", int),
         views=_typed_value(path, entries, "views", int, least=1),
         counts={key[len("count_") :]: _typed_value(path, entries, key, int)
                 for key in entries if key.startswith("count_")},
-        noise_frac=_typed_value(path, entries, "noise_frac", float),
-        noise_mode=_typed_value(path, entries, "noise_mode"),
+        noise_frac=_typed_value(path, entries, "noise_frac", float, least=0.0, most=1.0),
+        noise_mode=_typed_value(path, entries, "noise_mode", _noise_mode),
         seed=_typed_value(path, entries, "seed", int),
     )
 

@@ -139,7 +139,8 @@ def _blocks(queries, gallery, query_labels, gallery_labels):
     if count > 1 and count % BLOCK_QUERIES == 1:
         starts.pop()
     for start, stop in zip(starts, starts[1:] + [count]):
-        keys = -(unit_queries[start:stop] @ unit_gallery_t)[:, columns]
+        keys = (unit_queries[start:stop] @ unit_gallery_t)[:, columns]
+        np.negative(keys, out=keys)
         yield start, keys, gallery_labels == query_labels[start:stop, None]
 
 

@@ -11,12 +11,15 @@ length of the mean.
 
 Forward passes return caches consumed by the matching ``*_backward``
 functions; parameters are plain float64 arrays updated in place by the
-trainer.  The public ``encode_*_batch`` functions check that their outputs
-are finite; the private ``_sketch_forward`` and ``_shape_forward``, which
-training runs on every step, do arithmetic only.  A model's dataclass
-fields are its networks, in the order of its parameters, their gradients
-and its checkpoint's matrices (``_named_matrices``).  Checkpoints are text
-that round-trips bitwise; ``load_checkpoint`` accepts only what the writer
+trainer.  An MLP's cache is its list of activations, one array per layer
+(each layer adds its bias and applies its relu in place on its product),
+and the backward pass takes each relu mask from the activations.  The
+public ``encode_*_batch`` functions check that their outputs are finite;
+the private ``_sketch_forward`` and ``_shape_forward``, which training
+runs on every step, do arithmetic only.  A model's dataclass fields are
+its networks, in the order of its parameters, their gradients and its
+checkpoint's matrices (``_named_matrices``).  Checkpoints are text that
+round-trips bitwise; ``load_checkpoint`` accepts only what the writer
 writes.
 """
 
@@ -50,32 +53,40 @@ class Mlp:
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray):
-    """Batch forward pass; returns (output, cache)."""
+    """Batch forward pass; returns (output, cache).
+
+    The cache is the list of activations ``[x, act_1, ..., output]``, one
+    array per layer: each layer's product takes its bias and its relu in
+    place, so no pre-activation is kept."""
     if x.ndim != 2 or x.shape[1] != mlp.input_dim:
         raise ValueError(f"input shape {x.shape} does not match first layer input dim {mlp.input_dim}")
     last = len(mlp.layers) - 1
-    pres = []
     acts = [x]
     a = x
     for i, (w, b) in enumerate(mlp.layers):
-        pre = a @ w.T + b
-        pres.append(pre)
-        a = np.maximum(pre, 0.0) if i < last else pre
+        a = a @ w.T
+        a += b
+        if i < last:
+            np.maximum(a, 0.0, out=a)
         acts.append(a)
-    return a, (pres, acts)
+    return a, acts
 
 
 def mlp_backward(mlp: Mlp, cache, dout: np.ndarray, input_grad: bool = True):
     """Returns (dinput, grads) with grads ordered weight, bias, layer by
-    layer; dinput is None when input_grad is false."""
-    pres, acts = cache
+    layer; dinput is None when input_grad is false.
+
+    ``cache`` is mlp_forward's list of activations, and a hidden layer's
+    relu mask comes from its activation: ``act > 0`` equals ``pre > 0`` for
+    every pre-activation, since relu keeps the positive values, maps the
+    others but NaN to zero, and NaN is not positive either way."""
     last = len(mlp.layers) - 1
     grads = [None] * (2 * len(mlp.layers))
     g = dout
     for i in range(last, -1, -1):
         if i < last:
-            g = g * (pres[i] > 0.0)
-        grads[2 * i] = g.T @ acts[i]
+            g = g * (cache[i + 1] > 0.0)
+        grads[2 * i] = g.T @ cache[i]
         grads[2 * i + 1] = g.sum(axis=0)
         g = g @ mlp.layers[i][0] if i or input_grad else None
     return g, grads

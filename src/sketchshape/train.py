@@ -103,10 +103,7 @@ _PARSERS = {f.name: {tuple: _int_tuple}.get(type(f.default), type(f.default)) fo
 def load_config(path, base: TrainConfig = None) -> TrainConfig:
     """``key = value`` text file of TrainConfig fields; '#' starts a comment,
     and an unknown or repeated key is an error."""
-    entries = _key_values(path, _text_lines(path), comment="#")
-    for key, (lineno, _) in entries.items():
-        if key not in _PARSERS:
-            raise ValueError(f"{path} line {lineno}: unknown config key {key!r}")
+    entries = _key_values(path, _text_lines(path), _PARSERS, "config", comment="#")
     values = {key: _typed_value(path, entries, key, _PARSERS[key]) for key in entries}
     try:
         return replace(base, **values) if base is not None else TrainConfig(**values)

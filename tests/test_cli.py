@@ -14,7 +14,13 @@ from sketchshape import data as data_mod
 from sketchshape import model as model_mod
 from sketchshape.cli import main
 from sketchshape.data import load_dataset, load_embeddings
-from sketchshape.model import encode_sketch_batch, load_checkpoint, save_shape_checkpoint, save_sketch_checkpoint
+from sketchshape.model import (
+    encode_shape_batch,
+    encode_sketch_batch,
+    load_checkpoint,
+    save_shape_checkpoint,
+    save_sketch_checkpoint,
+)
 
 
 DESK_CONFIG = "\n".join(
@@ -275,6 +281,29 @@ class TestBadInputs:
         (data / "sketches.csv").write_text("\n".join([header, *rows]) + "\n")
         self._fails(self._train_sketch(data, tmp_path, pipeline["cfg"]), capsys, pattern)
 
+    @pytest.mark.parametrize(
+        "edit, pattern",
+        [
+            (lambda t: t + "colour = blue\n", r"manifest.txt line 12: unknown manifest key 'colour'"),
+            (lambda t: t.replace("count_sketch_test", "count_sketch_val"),
+             r"manifest.txt line 7: unknown manifest key 'count_sketch_val'"),
+            (lambda t: t.replace("noise_mode = ambiguous", "noise_mode = bogus"),
+             r"manifest.txt line 10: noise_mode: expected one of ambiguous, label, got 'bogus'"),
+            (lambda t: t.replace("noise_frac = 0.2", "noise_frac = 1.5"),
+             r"manifest.txt line 9: noise_frac must be in \[0.0, 1.0\], got 1.5"),
+            (lambda t: t.replace("noise_frac = 0.2", "noise_frac = -0.1"),
+             r"manifest.txt line 9: noise_frac must be in \[0.0, 1.0\], got -0.1"),
+            (lambda t: t.replace("noise_frac = 0.2", "noise_frac = nan"),
+             r"manifest.txt line 9: noise_frac must be in \[0.0, 1.0\], got nan"),
+        ],
+        ids=["unknown-key", "unknown-count", "noise-mode", "noise-frac-above", "noise-frac-below", "noise-frac-nan"],
+    )
+    def test_manifest_accepts_only_what_save_dataset_writes(self, pipeline, tmp_path, capsys, edit, pattern):
+        data = shutil.copytree(pipeline["data"], tmp_path / "data")
+        manifest = data / "manifest.txt"
+        manifest.write_text(edit(manifest.read_text()))
+        self._fails(self._train_sketch(data, tmp_path, pipeline["cfg"]), capsys, pattern)
+
     @pytest.mark.parametrize("name", ["manifest.txt", "sketches.csv", "sketch.ckpt", "desk.cfg"])
     def test_non_ascii_byte_names_the_file_and_line(self, pipeline, tmp_path, capsys, name):
         """Every input file is ASCII, a config's comments included."""
@@ -391,6 +420,17 @@ class TestPipeline:
         mu, _, _ = encode_sketch_batch(model, sketches.features[:1])
         # batched and single-row matmuls may differ in the last ulp
         np.testing.assert_allclose(matrix[0], mu[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind, key", [("sketch", "queries"), ("shape", "gallery")])
+    def test_embed_equals_whole_split_encode_bitwise(self, pipeline, kind, key):
+        """embed encodes the split in one batch, so its file holds the
+        library's whole-split output bit for bit."""
+        _, model, _ = load_checkpoint(pipeline["run"] / f"{kind}.ckpt", kind)
+        samples = load_dataset(pipeline["data"], kind).subset(kind, "test")
+        encode = encode_sketch_batch if kind == "sketch" else encode_shape_batch
+        ids, _, _, _, matrix = load_embeddings(pipeline[key])
+        assert ids == samples.ids
+        assert matrix.tobytes() == encode(model, samples.features)[0].tobytes()
 
     def test_embed_deterministic_byte_identical(self, pipeline, tmp_path):
         out1 = tmp_path / "e1.csv"

@@ -78,6 +78,72 @@ class TestMlpForward:
         assert [g.tobytes() for g in skipped] == [g.tobytes() for g in grads]
 
 
+def _backward_from_pre_activations(mlp, x, pres, dout):
+    """mlp_backward's arithmetic with each relu mask taken from the
+    pre-activations ``pres`` rather than from the activations."""
+    last = len(mlp.layers) - 1
+    acts = [x] + [np.maximum(pre, 0.0) for pre in pres[:-1]]
+    grads = [None] * (2 * len(mlp.layers))
+    g = dout
+    for i in range(last, -1, -1):
+        if i < last:
+            g = g * (pres[i] > 0.0)
+        grads[2 * i] = g.T @ acts[i]
+        grads[2 * i + 1] = g.sum(axis=0)
+        g = g @ mlp.layers[i][0]
+    return g, grads
+
+
+class TestReluMask:
+    """mlp_backward masks each hidden layer by its activation, which must
+    give the bits of a mask taken from the pre-activation."""
+
+    EDGES = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324)
+
+    def _assert_same_bits(self, mlp, cache, pres, dout):
+        dinput, grads = mlp_backward(mlp, cache, dout)
+        want_dinput, want = _backward_from_pre_activations(mlp, cache[0], pres, dout)
+        assert dinput.tobytes() == want_dinput.tobytes()
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
+
+    def test_forward_pre_activations_at_zero_and_tiny(self):
+        """Zero weight rows leave a pre-activation equal to its bias, and the
+        rows (1, -1, 0) and (1e-300, 0, 0) give an exact 0.0 and about
+        +-1e-300 from the product; the pre-activations are recomputed
+        here, apart from mlp_forward."""
+        rng = Rng(23)
+        w1 = np.zeros((9, 3))
+        w1[6], w1[7], w1[8] = [1.0, -1.0, 0.0], [1e-300, 0.0, 0.0], rng.uniform_matrix(1, 3, -1.0, 1.0)[0]
+        b1 = np.array([*self.EDGES, 0.0, 0.0, 0.1])
+        w2 = rng.uniform_matrix(8, 9, -1.0, 1.0)
+        w2[:6] = 0.0
+        b2 = np.array([*self.EDGES, 0.2, -0.2])
+        mlp = Mlp([(w1, b1), (w2, b2), (rng.uniform_matrix(2, 8, -1.0, 1.0), np.zeros(2))])
+        x = np.array([[1.0, 1.0, 0.5], [-1.0, -1.0, 2.0], [0.25, 0.25, -3.0], [3.0, 3.0, 1.0]])
+        pres, a = [], x
+        for w, b in mlp.layers:
+            pres.append(a @ w.T + b)
+            a = np.maximum(pres[-1], 0.0)
+        hidden = np.concatenate([pres[0].ravel(), pres[1].ravel()])
+        tiny = hidden[(hidden != 0.0) & (np.abs(hidden) < 1e-290)]
+        assert (hidden == 0.0).any() and (tiny > 0.0).any() and (tiny < 0.0).any()
+        _, cache = mlp_forward(mlp, x)
+        self._assert_same_bits(mlp, cache, pres, rng.uniform_matrix(4, 2, -1.0, 1.0))
+
+    def test_negative_zero_pre_activation(self):
+        """A product plus bias is -0.0 only where both are -0.0, and the
+        BLAS products tried give +0.0 wherever every term is zero, so the
+        -0.0 pre-activations reach mlp_backward in a cache built from
+        them."""
+        rng = Rng(24)
+        mlp = init_mlp(rng, [3, 6, 2])
+        x = rng.uniform_matrix(2, 3, -1.0, 1.0)
+        pre = np.array([self.EDGES, self.EDGES[::-1]])
+        out = np.maximum(pre, 0.0) @ mlp.layers[1][0].T + mlp.layers[1][1]
+        cache = [x, np.maximum(pre, 0.0), out]
+        self._assert_same_bits(mlp, cache, [pre, out], rng.uniform_matrix(2, 2, -1.0, 1.0))
+
+
 class TestEncodeSketch:
     def test_zero_parameters_give_zero_embedding(self):
         mlp = Mlp([(np.zeros((6, 5)), np.zeros(6))])
