@@ -126,6 +126,9 @@ def _blocks(queries, gallery, query_labels, gallery_labels):
     # compare equal have equal bytes.
     row_bytes = (unit_gallery + 0.0).view(np.dtype((np.void, 8 * unit_gallery.shape[1]))).ravel()
     _, first, columns = np.unique(row_bytes, return_index=True, return_inverse=True)
+    # This generator's frame lives for the whole evaluation: free the gallery
+    # copy and its sorted rows now.
+    del row_bytes, _
     if first.size < columns.size:
         unit_gallery = unit_gallery[first]
     else:

@@ -10,17 +10,18 @@ variance that training samples with; it cannot be traded against the
 length of the mean.
 
 Forward passes return caches consumed by the matching ``*_backward``
-functions; parameters are plain float64 arrays updated in place by the
-trainer.  An MLP's cache is its list of activations, one array per layer
-(each layer adds its bias and applies its relu in place on its product),
-and the backward pass takes each relu mask from the activations.  The
-public ``encode_*_batch`` functions check that their outputs are finite;
-the private ``_sketch_forward`` and ``_shape_forward``, which training
-runs on every step, do arithmetic only.  A model's dataclass fields are
-its networks, in the order of its parameters, their gradients and its
-checkpoint's matrices (``_named_matrices``).  Checkpoints are text that
-round-trips bitwise; ``load_checkpoint`` accepts only what the writer
-writes.
+functions, which write the gradients into given arrays when asked to;
+parameters are plain float64 arrays updated in place by the trainer, which
+makes each stage's parameters views of one vector.  An MLP's cache is its
+list of activations, one array per layer (each layer adds its bias and
+applies its relu in place on its product), and the backward pass takes
+each relu mask from the activations.  The public ``encode_*_batch``
+functions check that their outputs are finite; the private
+``_sketch_forward`` and ``_shape_forward``, which training runs on every
+step, do arithmetic only.  A model's dataclass fields are its networks, in
+the order of its parameters, their gradients and its checkpoint's
+matrices (``_named_matrices``).  Checkpoints are text that round-trips
+bitwise; ``load_checkpoint`` accepts only what the writer writes.
 """
 
 import math
@@ -72,22 +73,24 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
     return a, acts
 
 
-def mlp_backward(mlp: Mlp, cache, dout: np.ndarray, input_grad: bool = True):
+def mlp_backward(mlp: Mlp, cache, dout: np.ndarray, input_grad: bool = True, out=None):
     """Returns (dinput, grads) with grads ordered weight, bias, layer by
-    layer; dinput is None when input_grad is false.
+    layer; dinput is None when input_grad is false.  ``out``, if given, is
+    a list of arrays in that order that the gradients are written into, and
+    is returned as grads.
 
     ``cache`` is mlp_forward's list of activations, and a hidden layer's
     relu mask comes from its activation: ``act > 0`` equals ``pre > 0`` for
     every pre-activation, since relu keeps the positive values, maps the
     others but NaN to zero, and NaN is not positive either way."""
     last = len(mlp.layers) - 1
-    grads = [None] * (2 * len(mlp.layers))
+    grads = [None] * (2 * len(mlp.layers)) if out is None else out
     g = dout
     for i in range(last, -1, -1):
         if i < last:
             g = g * (cache[i + 1] > 0.0)
-        grads[2 * i] = g.T @ cache[i]
-        grads[2 * i + 1] = g.sum(axis=0)
+        grads[2 * i] = np.matmul(g.T, cache[i], out=grads[2 * i])
+        grads[2 * i + 1] = np.add.reduce(g, axis=0, out=grads[2 * i + 1])
         g = g @ mlp.layers[i][0] if i or input_grad else None
     return g, grads
 
@@ -127,11 +130,13 @@ def unit_scale_forward(mu: np.ndarray, logvar: np.ndarray):
 
     Returns (mu / ||mu||, logvar - log ||mu||^2, cache).  A row whose mean
     is too short to have a direction (norm below ops.NORM_EPS) is returned
-    unchanged.
+    unchanged; when every row is full, nothing is selected.
     """
     unit, norms, full = normalize_rows_fwd(mu)
-    scale = np.where(full, norms, 1.0)
-    mu_hat = np.where(full, unit, mu)
+    if np.logical_and.reduce(full, axis=None):
+        scale, mu_hat = norms, unit
+    else:
+        scale, mu_hat = np.where(full, norms, 1.0), np.where(full, unit, mu)
     return mu_hat, logvar - 2.0 * np.log(scale), (mu_hat, scale, full)
 
 
@@ -143,7 +148,9 @@ def unit_scale_backward(cache, dmu_hat: np.ndarray, dlogvar: np.ndarray):
     reaches mu along v only.
     """
     mu_hat, scale, full = cache
-    radial = np.sum(dmu_hat * mu_hat, axis=1, keepdims=True) + 2.0 * np.sum(dlogvar, axis=1, keepdims=True)
+    radial = np.add.reduce(dmu_hat * mu_hat, axis=1, keepdims=True) + 2.0 * np.add.reduce(
+        dlogvar, axis=1, keepdims=True
+    )
     return np.where(full, (dmu_hat - radial * mu_hat) / scale, dmu_hat), dlogvar
 
 
@@ -174,14 +181,17 @@ def encode_sketch_batch(model: SketchModel, x: np.ndarray):
     return require_finite(mu, "sketch mu"), require_finite(logvar, "sketch logvar"), cache
 
 
-def sketch_backward(model: SketchModel, cache, dmu: np.ndarray, dlogvar: np.ndarray):
+def sketch_backward(model: SketchModel, cache, dmu: np.ndarray, dlogvar: np.ndarray, out=None):
     """Gradients for every sketch parameter, ordered like
-    SketchModel.parameters()."""
+    SketchModel.parameters(), written into the arrays of ``out`` when
+    given (see mlp_backward)."""
     bcache, mcache, vcache, ucache = cache
+    b, m = 2 * len(model.backbone.layers), 2 * (len(model.backbone.layers) + len(model.mu_head.layers))
+    b_out, m_out, v_out = (None, None, None) if out is None else (out[:b], out[b:m], out[m:])
     dmu, dlogvar = unit_scale_backward(ucache, dmu, dlogvar)
-    dh_mu, mu_grads = mlp_backward(model.mu_head, mcache, dmu)
-    dh_lv, lv_grads = mlp_backward(model.logvar_head, vcache, dlogvar)
-    _, backbone_grads = mlp_backward(model.backbone, bcache, dh_mu + dh_lv, input_grad=False)
+    dh_mu, mu_grads = mlp_backward(model.mu_head, mcache, dmu, out=m_out)
+    dh_lv, lv_grads = mlp_backward(model.logvar_head, vcache, dlogvar, out=v_out)
+    _, backbone_grads = mlp_backward(model.backbone, bcache, dh_mu + dh_lv, input_grad=False, out=b_out)
     return backbone_grads + mu_grads + lv_grads
 
 
@@ -204,7 +214,8 @@ def _shape_forward(model: ShapeModel, prepared: np.ndarray):
     """encode_shape_batch on a block already through _prepare_views."""
     n, v, d = prepared.shape
     h, bcache = mlp_forward(model.backbone, prepared.reshape(n * v, d))
-    pooled = h.reshape(n, v, -1).mean(axis=1)
+    pooled = np.add.reduce(h.reshape(n, v, -1), axis=1)
+    pooled /= v
     f, pcache = mlp_forward(model.proj, pooled)
     return f, (bcache, pcache, n, v)
 
@@ -224,13 +235,16 @@ def encode_shape_batch(model: ShapeModel, views: np.ndarray):
     return require_finite(f, "shape embedding"), cache
 
 
-def shape_backward(model: ShapeModel, cache, df: np.ndarray):
+def shape_backward(model: ShapeModel, cache, df: np.ndarray, out=None):
     """Gradients for every shape parameter, ordered like
-    ShapeModel.parameters()."""
+    ShapeModel.parameters(), written into the arrays of ``out`` when given
+    (see mlp_backward)."""
     bcache, pcache, n, v = cache
-    dpooled, proj_grads = mlp_backward(model.proj, pcache, df)
-    dviews = np.repeat(dpooled / v, v, axis=0)
-    _, backbone_grads = mlp_backward(model.backbone, bcache, dviews, input_grad=False)
+    b = 2 * len(model.backbone.layers)
+    b_out, p_out = (None, None) if out is None else (out[:b], out[b:])
+    dpooled, proj_grads = mlp_backward(model.proj, pcache, df, out=p_out)
+    dviews = (dpooled / v).repeat(v, axis=0)
+    _, backbone_grads = mlp_backward(model.backbone, bcache, dviews, input_grad=False, out=b_out)
     return backbone_grads + proj_grads
 
 

@@ -41,7 +41,8 @@ def normalize_rows_fwd(m: np.ndarray, eps: float = NORM_EPS):
     ``full`` marks rows that were divided by their true norm rather than by
     eps.  Rows are pre-scaled by their largest entry magnitude so the norm
     never overflows and the result is invariant under exact row rescaling.
-    Zero rows pass through unchanged (0 / eps).
+    Zero rows pass through unchanged (0 / eps).  When every row is full,
+    the row selections are skipped.
     """
     m = np.asarray(m, dtype=np.float64)
     scale = np.maximum.reduce(np.abs(m), axis=1, keepdims=True)
@@ -49,19 +50,23 @@ def normalize_rows_fwd(m: np.ndarray, eps: float = NORM_EPS):
     unorm = np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))
     norms = scale * unorm
     full = norms >= eps
+    if np.logical_and.reduce(full, axis=None):
+        u /= unorm
+        return u, norms, full
     out = np.where(full, u, m)
     out /= np.where(full, unorm, eps)
     return out, np.where(full, norms, eps), full
 
 
-def normalize_rows_bwd(grad, out, norms, full):
-    """Backward pass matching normalize_rows_fwd.
+def normalize_rows_bwd(grad, out, norms, full, into=None):
+    """Backward pass matching normalize_rows_fwd, written into ``into`` when
+    given.
 
     For full rows: d(x/||x||) = (g - (g.v) v) / ||x|| with v the normalised
     row; for eps-clipped rows the map is linear, so the gradient is g / eps.
     """
     gv = np.add.reduce(grad * out, axis=1, keepdims=True)
-    return (grad - np.where(full, gv, 0.0) * out) / norms
+    return np.divide(grad - np.where(full, gv, 0.0) * out, norms, out=into)
 
 
 def l2_normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:

@@ -66,25 +66,48 @@ class Rng:
         u = self.uniform_block(rows * cols).reshape(rows, cols)
         return low + (high - low) * u
 
-    def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """Row-major (rows x cols) matrix of standard normals via Box-Muller.
+    def _normals(self, drawn: int, size: int) -> np.ndarray:
+        """A vector of ``size`` >= ``drawn`` entries whose first ``drawn``
+        (even) are standard normals from drawn / 2 uniform pairs, consuming
+        ``drawn`` raw outputs; the rest are left unset.
 
-        Each pair of entries (in row-major order) comes from one uniform
-        pair (u1, u2) as sqrt(-2 ln u1) * (cos, sin)(2 pi u2), with u1
-        shifted into (0, 1] so the log stays finite.  Consumes
-        2 * ceil(rows * cols / 2) raw outputs.
-        """
-        count = rows * cols
-        pairs = (count + 1) // 2
-        bits = self._raw_block(2 * pairs) >> np.uint64(11)
+        Each pair of entries comes from one uniform pair (u1, u2) as
+        sqrt(-2 ln u1) * (cos, sin)(2 pi u2), with u1 shifted into (0, 1] so
+        the log stays finite."""
+        bits = self._raw_block(drawn) >> np.uint64(11)
         u1 = (bits[0::2].astype(np.float64) + 1.0) * _INV53  # (0, 1]
         u2 = bits[1::2].astype(np.float64) * _INV53          # [0, 1)
         radius = np.sqrt(-2.0 * np.log(u1))
         theta = _TWO_PI * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(theta)
-        out[1::2] = radius * np.sin(theta)
-        return out[:count].reshape(rows, cols)
+        out = np.empty(size)
+        out[0:drawn:2] = radius * np.cos(theta)
+        out[1:drawn:2] = radius * np.sin(theta)
+        return out
+
+    def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
+        """Row-major (rows x cols) matrix of standard normals via Box-Muller
+        (see ``_normals``).  Consumes 2 * ceil(rows * cols / 2) raw outputs:
+        an odd count drops the second half of its last pair."""
+        count = rows * cols
+        drawn = count + count % 2
+        return self._normals(drawn, drawn)[:count].reshape(rows, cols)
+
+    def normal_batches(self, rows: int, batch: int, cols: int) -> np.ndarray:
+        """(rows x cols) normals drawn as one normal_matrix(b, cols) call per
+        consecutive batch of b = ``batch`` rows, the last batch keeping the
+        remainder: the same values and the same raw stream, in one block.
+
+        Each batch takes 2 * ceil(b * cols / 2) values and drops its spare
+        one.  The values are laid out one batch per row of a grid whose rows
+        start on a pair, and the spare and the unused tail of the short last
+        row fall outside the rows returned."""
+        if batch < 1:
+            raise ValueError(f"normal_batches needs batch >= 1, got {batch}")
+        full, rest = divmod(rows, batch)
+        batches, count, tail = full + (rest > 0), batch * cols, rest * cols
+        width = count + count % 2
+        grid = self._normals(full * width + tail + tail % 2, batches * width).reshape(batches, width)
+        return grid[:, :count].reshape(batches * batch, cols)[:rows]
 
     def integer(self, n: int) -> int:
         """Unbiased integer in [0, n) by rejection sampling raw outputs."""

@@ -10,6 +10,13 @@ run plain SGD (optional momentum) with an epoch-level cosine-annealed
 learning rate, shuffle with the run's own Rng, and keep the last partial
 batch, so a fixed seed reproduces the parameter trajectory bitwise.
 
+Each stage trains one contiguous parameter vector: the model's layer
+weights and biases (and in stage 1 the class-center weights) are views of
+it, the backward passes write into views of one gradient vector, and each
+step is one ``sgd_step`` on the two vectors.  Stage 1 draws an epoch's
+noise in one block right after the epoch's permutation, with the values
+and the raw stream of one draw per batch.
+
 Each stage's objective is composed once, in ``_sketch_objective`` and
 ``_shape_objective``: loss and gradients from prepared encoder inputs.  The
 training steps call them, and ``gradcheck``'s chain checks verify the same
@@ -28,6 +35,7 @@ import numpy as np
 from .data import _key_values, _text_lines, _typed_value
 from .losses import Classifier, MarginParams, _margin_core, _uncertainty_core
 from .model import (
+    _named_matrices,
     _prepare_sketches,
     _prepare_views,
     _shape_forward,
@@ -132,7 +140,9 @@ def cosine_lr(t: int, total: int, lr0: float) -> float:
 
 def sgd_step(params, grads, lr: float, momentum: float, velocity=None) -> None:
     """v <- momentum * v + g;  p <- p - lr * v, all in place, with one
-    velocity buffer per parameter.
+    velocity buffer per parameter array.  Training passes each stage's one
+    parameter vector, so a step is one update; the rule is elementwise, so
+    it gives the bits of a step on each array apart.
 
     At momentum 0 ``velocity`` may be None, and the step is p <- p - lr * g
     with no buffer to scale and add to.  The two agree bit for bit except on
@@ -177,34 +187,63 @@ class TrainReport:
             fh.write("\n".join(self.lines()) + "\n")
 
 
-def _fit(stage: str, cfg: TrainConfig, rng: Rng, n: int, params, step) -> TrainReport:
-    """The SGD loop both stages share.  Per epoch: the cosine learning rate
-    and one rng.permutation of the n samples, as an int64 array; per batch
-    of indices (an array slice): ``step(batch) -> (loss, grads)`` with grads
-    ordered like params, then sgd_step, with velocity buffers only when
-    cfg.momentum is nonzero.  The stages validate their inputs before
-    calling this, so ``step`` does arithmetic only.  Aborts with a
-    diagnostic on a non-finite loss, or parameter after the last step."""
-    velocity = [np.zeros_like(p) for p in params] if cfg.momentum else None
+def _flat_parameters(model, classifier: Classifier | None = None):
+    """One float64 vector holding every matrix of ``_named_matrices(model,
+    classifier)`` in order, with the model's layers (and the classifier's
+    weights) rebound as views of it; returns (params, grads, grad_views):
+    a gradient vector of the same layout and its views, ordered like the
+    matrices."""
+    arrays = [a for _, a in _named_matrices(model, classifier)]
+    params = np.concatenate([a.ravel() for a in arrays])
+    grads = np.empty_like(params)
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+
+    def views(flat):
+        return [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
+
+    rebound = iter(views(params))
+    for f in fields(model):
+        net = getattr(model, f.name)
+        net.layers = [(next(rebound), next(rebound)) for _ in net.layers]
+    if classifier is not None:
+        classifier.weights = next(rebound)
+    return params, grads, views(grads)
+
+
+def _fit(stage: str, cfg: TrainConfig, rng: Rng, n: int, params, grads, step, noise_dim: int = 0) -> TrainReport:
+    """The SGD loop both stages share, on one parameter vector and its
+    gradient vector.  Per epoch: the cosine learning rate, one
+    rng.permutation of the n samples, as an int64 array, then the epoch's
+    n x noise_dim noise in one rng.normal_batches draw (the stream of one
+    normal_matrix draw per batch; at noise_dim 0 nothing is drawn).  Per
+    batch of indices (an array slice): ``step(batch, noise) -> loss``,
+    which gets the batch's noise rows and fills ``grads``, then one
+    sgd_step, with a velocity vector only when cfg.momentum is nonzero.
+    The stages validate their inputs before calling this, so ``step`` does
+    arithmetic only.  Aborts with a diagnostic on a non-finite loss, or
+    parameter after the last step."""
+    velocity = [np.zeros_like(params)] if cfg.momentum else None
     report = TrainReport(seed=cfg.seed)
     start_time = time.perf_counter()
     for epoch in range(cfg.max_epochs):
         lr = cosine_lr(epoch, cfg.max_epochs, cfg.lr0)
         order = np.array(rng.permutation(n), dtype=np.int64)
+        noise = rng.normal_batches(n, cfg.batch_size, noise_dim)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grads = step(batch)
+            loss = step(batch, noise[start : start + cfg.batch_size])
             if not math.isfinite(loss):
                 raise RuntimeError(
-                    f"{stage} aborted: non-finite loss {loss} at epoch {epoch}, batch starting at {batch[0]}"
+                    f"{stage} aborted: non-finite loss {loss} at epoch {epoch}, in the batch at position {start} of "
+                    "the epoch's shuffled order"
                 )
-            sgd_step(params, grads, lr, cfg.momentum, velocity)
+            sgd_step([params], [grads], lr, cfg.momentum, velocity)
             total += loss * len(batch)
         report.losses.append(total / n)
         report.lrs.append(lr)
     # The loss checks see every update but the last one.
-    if not all(np.isfinite(p).all() for p in params):
+    if not np.isfinite(params).all():
         raise RuntimeError(f"{stage} aborted: non-finite parameters after the last step of epoch {epoch}")
     report.wall_time = time.perf_counter() - start_time
     return report
@@ -225,26 +264,29 @@ def _inputs(stage: str, samples, cfg, what: str, layout: str):
     return require_finite(x, what), y
 
 
-def _sketch_objective(model, weights, xn, labels, eps, margins: MarginParams, lam: float):
+def _sketch_objective(model, weights, xn, labels, eps, margins: MarginParams, lam: float, out=None):
     """Stage-1 loss and gradients, ordered like model.parameters() plus the
     class-center weights: the unit-scale Gaussian of rows through
     _prepare_sketches, sampled with noise ``eps``, scored by the margin loss
-    plus lam * KL."""
+    plus lam * KL.  The gradients are written into the arrays of ``out``
+    when given."""
     mu, logvar, cache = _sketch_forward(model, xn)
     # model.reparameterize without its per-call checks: same expression.
     z = mu + eps * np.exp(0.5 * logvar)
     centers = normalize_rows_fwd(weights)
     loss, dmu, dlogvar, dcos, zb = _uncertainty_core(z, mu, logvar, centers, labels, margins, lam)
-    return loss, sketch_backward(model, cache, dmu, dlogvar) + [normalize_rows_bwd(dcos.T @ zb, *centers)]
+    grads = sketch_backward(model, cache, dmu, dlogvar, None if out is None else out[:-1])
+    return loss, grads + [normalize_rows_bwd(dcos.T @ zb, *centers, into=None if out is None else out[-1])]
 
 
-def _shape_objective(model, centers, views, labels, margins: MarginParams):
+def _shape_objective(model, centers, views, labels, margins: MarginParams, out=None):
     """Stage-2 loss and gradients, ordered like model.parameters(): the
     margin loss of a block through _prepare_views against frozen centers,
-    given as ``normalize_rows_fwd(weights)``."""
+    given as ``normalize_rows_fwd(weights)``.  The gradients are written
+    into the arrays of ``out`` when given."""
     f, cache = _shape_forward(model, views)
     loss, df, _, _ = _margin_core(f, centers, labels, margins)
-    return loss, shape_backward(model, cache, df)
+    return loss, shape_backward(model, cache, df, out)
 
 
 def train_stage1(samples, cfg: TrainConfig, rng: Rng):
@@ -263,14 +305,14 @@ def train_stage1(samples, cfg: TrainConfig, rng: Rng):
 
     model = init_sketch_model(cfg, rng)
     classifier = init_classifier(cfg, rng)
+    params, grads, out = _flat_parameters(model, classifier)
     margins = cfg.sketch_margins()
     xn = _prepare_sketches(x)
 
-    def step(batch):
-        eps = rng.normal_matrix(len(batch), cfg.embed_dim)
-        return _sketch_objective(model, classifier.weights, xn[batch], y[batch], eps, margins, cfg.lam)
+    def step(batch, eps):
+        return _sketch_objective(model, classifier.weights, xn[batch], y[batch], eps, margins, cfg.lam, out)[0]
 
-    report = _fit("stage 1", cfg, rng, len(y), model.parameters() + [classifier.weights], step)
+    report = _fit("stage 1", cfg, rng, len(y), params, grads, step, cfg.embed_dim)
     return model, classifier.freeze(), report
 
 
@@ -292,16 +334,17 @@ def train_stage2(samples, classifier: Classifier, cfg: TrainConfig, rng: Rng):
 
     weights_before = classifier.weights.copy()
     model = init_shape_model(cfg, rng)
+    params, grads, out = _flat_parameters(model)
     margins = cfg.shape_margins()
     views = _prepare_views(x)
     # transfer_loss's arithmetic: the frozen centers are normalised once, and
     # the classifier gradient it would discard is never formed.
     centers = normalize_rows_fwd(classifier.weights)
 
-    def step(batch):
-        return _shape_objective(model, centers, views[batch], y[batch], margins)
+    def step(batch, _):
+        return _shape_objective(model, centers, views[batch], y[batch], margins, out)[0]
 
-    report = _fit("stage 2", cfg, rng, len(y), model.parameters(), step)
+    report = _fit("stage 2", cfg, rng, len(y), params, grads, step)
     if not np.array_equal(weights_before, classifier.weights):
         raise RuntimeError("stage 2 modified the frozen classifier")
     return model, report

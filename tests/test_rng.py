@@ -62,6 +62,30 @@ def test_normal_matrix_matches_scalar_draws():
     assert scalars.normal_matrix(1, 1)[0, 0] == pytest.approx(m[0, 0])
 
 
+@pytest.mark.parametrize("rows", [5, 23])
+@pytest.mark.parametrize("cols", [5, 32])
+@pytest.mark.parametrize("batch", [1, 7, 8])
+def test_normal_batches_match_per_batch_draws(batch, cols, rows):
+    """One epoch draw gives the values of one normal_matrix call per batch,
+    bitwise, and leaves the stream where those calls leave it.  An odd
+    batch x cols draws a spare value per batch and drops it."""
+    if batch > 1:
+        assert rows % batch  # a short last batch
+    for seed in range(5):
+        epoch, per_batch = Rng(seed), Rng(seed)
+        got = epoch.normal_batches(rows, batch, cols)
+        want = np.concatenate([per_batch.normal_matrix(min(batch, rows - start), cols)
+                               for start in range(0, rows, batch)])
+        assert got.shape == (rows, cols)
+        assert got.tobytes() == want.tobytes()
+        assert epoch.next_u64() == per_batch.next_u64()
+
+
+def test_normal_batches_rejects_empty_batches():
+    with pytest.raises(ValueError, match="batch >= 1"):
+        Rng(0).normal_batches(8, 0, 4)
+
+
 def test_normal_all_finite():
     z = Rng(3).normal_matrix(10_000, 4)
     assert np.isfinite(z).all()

@@ -1,6 +1,7 @@
 """Two-stage trainer: schedule, SGD, determinism, stage contracts."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -322,9 +323,21 @@ class TestStage1:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):
+        """The message names the epoch and the batch's position in that
+        epoch's order (a multiple of the batch size), not a sample index."""
         ds = easy_dataset(5)
-        with pytest.raises(RuntimeError, match="non-finite loss"):
-            train_stage1(ds.sketches("train"), easy_cfg(lr0=500.0, max_epochs=30), Rng(5))
+        cfg = easy_cfg(lr0=500.0, max_epochs=30)
+        with pytest.raises(RuntimeError, match="non-finite loss") as err:
+            train_stage1(ds.sketches("train"), cfg, Rng(5))
+        found = re.fullmatch(
+            r"stage 1 aborted: non-finite loss (?:nan|-?inf) at epoch (\d+), in the batch at position (\d+) of the "
+            r"epoch's shuffled order",
+            str(err.value),
+        )
+        assert found, str(err.value)
+        epoch, start = int(found[1]), int(found[2])
+        assert epoch < cfg.max_epochs
+        assert start % cfg.batch_size == 0 and start < len(ds.sketches("train").ids)
 
 
 class TestStage2:
@@ -481,6 +494,7 @@ class TestSameBitsAsReference:
             ("momentum", {}, dict(momentum=0.9)),
             ("no_kl", {}, dict(lam=0.0)),
             ("head_hidden", {}, dict(head_hidden=(6,))),
+            ("odd_batch_odd_embed_dim_momentum", {}, dict(batch_size=7, embed_dim=5, momentum=0.9)),
         ],
     )
     def test_both_stages(self, name, data, overrides):
@@ -490,7 +504,7 @@ class TestSameBitsAsReference:
         base = dict(feature_dim=shape["dim"], classes=shape["classes"], max_epochs=4)
         cfg = easy_cfg(**{**base, **overrides})
         sketches, shapes = ds.sketches("train"), ds.shapes("train")
-        if name in ("batch_not_dividing_n", "odd_batch_odd_embed_dim"):
+        if name in ("batch_not_dividing_n", "odd_batch_odd_embed_dim", "odd_batch_odd_embed_dim_momentum"):
             assert len(sketches.ids) % cfg.batch_size  # a short last batch
 
         model, classifier, report = train_stage1(sketches, cfg, Rng(22))
