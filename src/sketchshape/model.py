@@ -148,9 +148,8 @@ def unit_scale_backward(cache, dmu_hat: np.ndarray, dlogvar: np.ndarray):
     reaches mu along v only.
     """
     mu_hat, scale, full = cache
-    radial = np.add.reduce(dmu_hat * mu_hat, axis=1, keepdims=True) + 2.0 * np.add.reduce(
-        dlogvar, axis=1, keepdims=True
-    )
+    radial = np.add.reduce(dmu_hat * mu_hat, axis=1, keepdims=True)
+    radial += 2.0 * np.add.reduce(dlogvar, axis=1, keepdims=True)
     return np.where(full, (dmu_hat - radial * mu_hat) / scale, dmu_hat), dlogvar
 
 
