@@ -96,14 +96,16 @@ def cmd_train_shape(args) -> int:
 
 
 def _encode_split(args, only=None):
-    """(samples of ``args.split``, encoder outputs), reading the checkpoint
-    (of kind ``only`` if given) before the dataset of its kind."""
+    """(samples of ``args.split``, encoder outputs): (mu, logvar) for
+    sketches, (embeddings,) for shapes.  The checkpoint (of kind ``only``
+    if given) is read before the dataset of its kind."""
     kind, model, _ = load_checkpoint(args.checkpoint, only)
     samples = data_mod.load_dataset(args.data, kind).subset(kind, args.split)
     if not samples.ids:
         raise ValueError(f"no {kind} records in split {args.split!r}")
-    encode = encode_sketch_batch if kind == "sketch" else encode_shape_batch
-    return samples, encode(model, samples.features)
+    if kind == "sketch":
+        return samples, encode_sketch_batch(model, samples.features)
+    return samples, (encode_shape_batch(model, samples.features),)
 
 
 def cmd_embed(args) -> int:
@@ -136,7 +138,7 @@ def cmd_eval(args) -> int:
 
 def cmd_report_uncertainty(args) -> int:
     print(f"[report-uncertainty] checkpoint = {args.checkpoint}, data = {args.data}, split = {args.split}")
-    samples, (_, logvar, _) = _encode_split(args, only="sketch")
+    samples, (_, logvar) = _encode_split(args, only="sketch")
     scores = uncert_mod.analyze(samples.ids, np.exp(logvar))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

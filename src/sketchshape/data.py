@@ -475,8 +475,10 @@ def _read_rows(path, manifest: Manifest, modality: str):
 
 def _load_shapes(indir: Path, manifest: Manifest) -> Samples:
     """One sample per shape from its view rows, which must agree on label
-    and split and be numbered .v00 to the manifest's view count; the
-    N x views x dim block is gathered with one index array."""
+    and split and be numbered .v00 to the manifest's view count.  The
+    N x views x dim block is a view of the parsed matrix when the rows come
+    in the writer's order (each shape's views together, .v00 first), and is
+    gathered with one index array otherwise."""
     path = indir / "shapes.csv"
     ids, labels, splits, matrix = _read_rows(path, manifest, "shape")
     grouped, meta = {}, {}
@@ -495,8 +497,10 @@ def _load_shapes(indir: Path, manifest: Manifest) -> Samples:
             raise ValueError(f"{path}: shape {base} has views {views}, manifest says {manifest.views}")
         rows.extend(i for _, i in items)
     rows = np.array(rows, dtype=np.int64).reshape(len(grouped), manifest.views)
+    in_order = np.array_equal(rows.ravel(), np.arange(rows.size))
+    block = matrix.reshape(*rows.shape, matrix.shape[1]) if in_order else matrix[rows]
     first, flags = rows[:, 0], np.zeros(len(grouped), dtype=bool)
-    return Samples(list(grouped), labels[first], [splits[i] for i in first.tolist()], matrix[rows], flags)
+    return Samples(list(grouped), labels[first], [splits[i] for i in first.tolist()], block, flags)
 
 
 def load_dataset(indir, modality=None) -> Dataset:

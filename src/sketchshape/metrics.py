@@ -21,7 +21,11 @@ definitions produces bit-identical averages.
 
 Queries are ranked and scored in blocks of BLOCK_QUERIES, so memory grows
 with BLOCK_QUERIES x G rather than with Q x G; each block's similarities
-are one matrix product of unit-length rows.  Every metric, and the
+are one matrix product of unit-length rows, the last block padded to
+BLOCK_QUERIES rows with copies of one of its queries (``ops.padded_blocks``)
+and the gallery padded to a multiple of 16 items, so a query's
+similarities do not depend on which other queries share its block, or on
+its row in the block.  Every metric, and the
 interpolated precision-recall curve, follows from the ranks of the
 relevant items alone, so the block ranks similarity values, not gallery
 positions: numpy's value sort orders a copy of each row's keys, and the
@@ -48,11 +52,12 @@ from itertools import compress
 
 import numpy as np
 
-from .ops import _shape, l2_normalize_rows, require_finite
+from .ops import BLOCK_ROWS, _pad_rows, _shape, l2_normalize_rows, padded_blocks, require_finite
 
 E_MEASURE_CUTOFF = 32
 PR_RECALL_LEVELS = tuple(i / 10.0 for i in range(11))
-BLOCK_QUERIES = 128
+BLOCK_QUERIES = BLOCK_ROWS
+_GALLERY_MULTIPLE = 16
 
 
 @dataclass
@@ -132,17 +137,14 @@ def _blocks(queries, gallery, query_labels, gallery_labels):
     if first.size < columns.size:
         unit_gallery = unit_gallery[first]
     else:
-        columns = slice(None)
-    unit_gallery_t = unit_gallery.T
-    # numpy multiplies a one-row block as a vector (gemv), which may round
-    # differently from the matrix product (gemm) that ranks every other
-    # block, so a single leftover query joins the block before it.
-    count = queries.shape[0]
-    starts = list(range(0, count, BLOCK_QUERIES))
-    if count > 1 and count % BLOCK_QUERIES == 1:
-        starts.pop()
-    for start, stop in zip(starts, starts[1:] + [count]):
-        keys = (unit_queries[start:stop] @ unit_gallery_t)[:, columns]
+        columns = slice(0, columns.size)
+    # OpenBLAS's SkylakeX kernel multiplies the last (rows mod 8) gallery
+    # rows with a kernel whose bits depend on the query's row in the block,
+    # so the gallery is padded to a multiple of _GALLERY_MULTIPLE rows.
+    padded = -(-len(unit_gallery) // _GALLERY_MULTIPLE) * _GALLERY_MULTIPLE
+    unit_gallery_t = _pad_rows(unit_gallery, padded).T
+    for start, stop, block in padded_blocks(unit_queries):
+        keys = (block @ unit_gallery_t)[: stop - start, columns]
         np.negative(keys, out=keys)
         yield start, keys, gallery_labels == query_labels[start:stop, None]
 
@@ -224,23 +226,28 @@ def _score_block(ranks, discounts):
 
     # Interpolated precision at a recall level is the largest precision from
     # the first relevant item whose recall reaches the level to the row's
-    # last one; ``below`` counts the items before it.  One reduceat takes
-    # the maximum over every (start, end) pair; the results between pairs
-    # are dropped, and the appended 0.0 keeps the last end a valid index.
+    # last one; ``below`` counts the items before it, by binary search in
+    # the row's ascending recalls.  One reduceat takes the maximum over
+    # every (start, end) pair; the results between pairs are dropped, and
+    # the appended 0.0 keeps the last end a valid index.
     levels = np.array(PR_RECALL_LEVELS)
-    below = np.add.reduceat(recall[:, None] < levels, first, axis=0, dtype=np.int64)
+    below = np.array([np.searchsorted(recall[a : a + total], levels)
+                      for a, total in zip(first.tolist(), totals.tolist())])
     starts = first[:, None] + below
     ends = np.broadcast_to((first + totals)[:, None], starts.shape)
     bounds = np.stack([starts, ends], axis=-1).ravel()
     pr = np.maximum.reduceat(np.append(precision, 0.0), bounds)[::2].reshape(starts.shape)
 
-    precisions, gains = precision.tolist(), discounts[col].tolist()
+    # Python floats take 32 bytes each, so each query's values become a
+    # list only while that query is summed.
+    gains = discounts[col]
     ideal = {total: math.fsum(discounts[:total].tolist()) for total in set(totals.tolist())}
     metrics = []
     heads = zip(nn.tolist(), ft.tolist(), st.tolist(), e.tolist())
     for a, total, head in zip(first.tolist(), totals.tolist(), heads):
         b = a + total
-        metrics.append((*head, math.fsum(gains[a:b]) / ideal[total], math.fsum(precisions[a:b]) / total))
+        metrics.append((*head, math.fsum(gains[a:b].tolist()) / ideal[total],
+                        math.fsum(precision[a:b].tolist()) / total))
     return metrics, pr
 
 

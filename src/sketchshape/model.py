@@ -9,18 +9,27 @@ m + eps * s and (m + eps * s) / ||m|| point the same way, so this is the
 variance that training samples with; it cannot be traded against the
 length of the mean.
 
-Forward passes return caches consumed by the matching ``*_backward``
-functions, which write the gradients into given arrays when asked to;
-parameters are plain float64 arrays updated in place by the trainer, which
-makes each stage's parameters views of one vector.  An MLP's cache is its
-list of activations, one array per layer (each layer adds its bias and
-applies its relu in place on its product), and the backward pass takes
-each relu mask from the activations.  The public ``encode_*_batch``
-functions check that their outputs are finite; the private
-``_sketch_forward`` and ``_shape_forward``, which training runs on every
-step, do arithmetic only.  A model's dataclass fields are its networks, in
-the order of its parameters, their gradients and its checkpoint's
-matrices (``_named_matrices``).  Checkpoints are text that round-trips
+The private forward passes ``_sketch_forward`` and ``_shape_forward``,
+which training runs on every step, do arithmetic only and return caches
+consumed by the matching ``*_backward`` functions, which write the
+gradients into given arrays when asked to; parameters are plain float64
+arrays updated in place by the trainer, which makes each stage's
+parameters views of one vector.  An MLP's cache is its list of
+activations, one array per layer (each layer adds its bias and applies its
+relu in place on its product), and the backward pass takes each relu mask
+from the activations.
+
+The public ``encode_*_batch`` functions return outputs only, and check
+once that they are finite.  They encode in blocks of ops.BLOCK_ROWS
+samples, the last block padded with copies of one of its samples
+(``ops.padded_blocks``), and keep only each block's outputs: memory does
+not grow with the number of samples beyond the outputs, and every product
+has the same row count, so a sample's outputs are the same bits whichever
+other samples are encoded with it, in any order.
+
+A model's dataclass fields are its networks, in the order of its
+parameters, their gradients and its checkpoint's matrices
+(``_named_matrices``).  Checkpoints are text that round-trips
 bitwise; ``load_checkpoint`` accepts only what the writer writes.
 """
 
@@ -31,7 +40,7 @@ import numpy as np
 
 from .data import _text_lines
 from .losses import Classifier
-from .ops import l2_normalize_rows, normalize_rows_fwd, require_finite
+from .ops import l2_normalize_rows, normalize_rows_fwd, padded_blocks, require_finite
 from .rng import Rng
 
 CHECKPOINT_MAGIC = "sketchshape-checkpoint v1"
@@ -159,7 +168,8 @@ def _prepare_sketches(x) -> np.ndarray:
 
 
 def _sketch_forward(model: SketchModel, xn: np.ndarray):
-    """encode_sketch_batch on rows already through _prepare_sketches."""
+    """(mu, logvar, cache) of rows already through _prepare_sketches, one
+    product per layer; encode_sketch_batch runs it on padded blocks."""
     h, bcache = mlp_forward(model.backbone, xn)
     raw_mu, mcache = mlp_forward(model.mu_head, h)
     raw_logvar, vcache = mlp_forward(model.logvar_head, h)
@@ -168,16 +178,24 @@ def _sketch_forward(model: SketchModel, xn: np.ndarray):
 
 
 def encode_sketch_batch(model: SketchModel, x: np.ndarray):
-    """Returns (mu, logvar, cache) for an NxD_in feature batch: the unit
-    scale Gaussian (see unit_scale_forward) of the two heads' output.
+    """Returns (mu, logvar) for an N x D_in feature batch: the unit scale
+    Gaussian (see unit_scale_forward) of the two heads' output, encoded in
+    padded blocks (see the module docstring).
 
     Input rows are L2-normalised before the backbone: downstream losses and
     retrieval are cosine-based, so feature magnitude carries no class signal
     and letting it through only couples the learned variance to input scale.
     A non-finite mu or logvar raises ValueError.
     """
-    mu, logvar, cache = _sketch_forward(model, _prepare_sketches(x))
-    return require_finite(mu, "sketch mu"), require_finite(logvar, "sketch logvar"), cache
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected N x D_in features, got shape {x.shape}")
+    mu = np.empty((len(x), model.mu_head.output_dim))
+    logvar = np.empty((len(x), model.logvar_head.output_dim))
+    for start, stop, block in padded_blocks(x):
+        block_mu, block_logvar, _ = _sketch_forward(model, _prepare_sketches(block))
+        mu[start:stop], logvar[start:stop] = block_mu[: stop - start], block_logvar[: stop - start]
+    return require_finite(mu, "sketch mu"), require_finite(logvar, "sketch logvar")
 
 
 def sketch_backward(model: SketchModel, cache, dmu: np.ndarray, dlogvar: np.ndarray, out=None):
@@ -210,7 +228,8 @@ def _prepare_views(views: np.ndarray) -> np.ndarray:
 
 
 def _shape_forward(model: ShapeModel, prepared: np.ndarray):
-    """encode_shape_batch on a block already through _prepare_views."""
+    """(embeddings, cache) of a block already through _prepare_views, one
+    product per layer; encode_shape_batch runs it on padded blocks."""
     n, v, d = prepared.shape
     h, bcache = mlp_forward(model.backbone, prepared.reshape(n * v, d))
     pooled = np.add.reduce(h.reshape(n, v, -1), axis=1)
@@ -219,8 +238,9 @@ def _shape_forward(model: ShapeModel, prepared: np.ndarray):
     return f, (bcache, pcache, n, v)
 
 
-def encode_shape_batch(model: ShapeModel, views: np.ndarray):
-    """Returns (embeddings, cache) for an N x V x D_in block of view features.
+def encode_shape_batch(model: ShapeModel, views: np.ndarray) -> np.ndarray:
+    """The N x embed_dim embeddings of an N x V x D_in block of view
+    features, encoded in padded blocks of shapes (see the module docstring).
 
     Per-view features are mean-pooled per sample with the views visited in
     a canonical (lexicographically sorted) order, then projected.  A
@@ -230,8 +250,10 @@ def encode_shape_batch(model: ShapeModel, views: np.ndarray):
         raise ValueError(f"expected N x V x D_in views, got shape {views.shape}")
     if views.shape[1] < 1:
         raise ValueError("each shape needs at least one view")
-    f, cache = _shape_forward(model, _prepare_views(views))
-    return require_finite(f, "shape embedding"), cache
+    f = np.empty((len(views), model.proj.output_dim))
+    for start, stop, block in padded_blocks(views):
+        f[start:stop] = _shape_forward(model, _prepare_views(block))[0][: stop - start]
+    return require_finite(f, "shape embedding")
 
 
 def shape_backward(model: ShapeModel, cache, df: np.ndarray, out=None):

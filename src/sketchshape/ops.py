@@ -1,5 +1,6 @@
 """Dense float64 row normalisation with its hand-derived gradient, cosine
-similarities, and the finite-difference gradient checker.
+similarities, padded row blocks, and the finite-difference gradient
+checker.
 
 ``normalize_rows_fwd`` has a matching ``normalize_rows_bwd``, and
 ``grad_check`` verifies any (value, gradients) pair against central finite
@@ -7,6 +8,12 @@ differences.  Row normalisation pre-scales each row by its largest entry
 magnitude before taking the norm: this cannot overflow, and an exactly
 rescaled row normalises to bit-identical output, which is what makes the
 cosine losses and retrieval metrics exactly scale-invariant.
+
+``padded_blocks`` cuts an array into blocks of BLOCK_ROWS rows, padding a
+short last block with copies of one of its rows.  OpenBLAS multiplies a
+product of few rows with another kernel, which rounds differently, so a
+row's product would otherwise depend on how many rows share it; with every
+product at BLOCK_ROWS rows it depends on that row alone.
 """
 
 import itertools
@@ -14,6 +21,7 @@ import itertools
 import numpy as np
 
 NORM_EPS = 1e-12
+BLOCK_ROWS = 128
 
 
 def _shape(a: np.ndarray) -> str:
@@ -67,6 +75,23 @@ def normalize_rows_bwd(grad, out, norms, full, into=None):
     """
     gv = np.add.reduce(grad * out, axis=1, keepdims=True)
     return np.divide(grad - np.where(full, gv, 0.0) * out, norms, out=into)
+
+
+def _pad_rows(a: np.ndarray, rows: int) -> np.ndarray:
+    """``a`` with copies of its first row appended, up to ``rows`` rows."""
+    if len(a) >= rows:
+        return a
+    return np.concatenate([a, np.repeat(a[:1], rows - len(a), axis=0)])
+
+
+def padded_blocks(a: np.ndarray):
+    """Yield (start, stop, block) for rows ``start:stop`` of ``a``, BLOCK_ROWS
+    at a time along its first axis.  ``block`` always has BLOCK_ROWS rows:
+    a short last block is padded with copies of its first row, so its real
+    rows are ``block[:stop - start]``."""
+    for start in range(0, len(a), BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, len(a))
+        yield start, stop, _pad_rows(a[start:stop], BLOCK_ROWS)
 
 
 def l2_normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:

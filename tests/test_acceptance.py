@@ -55,14 +55,14 @@ def _bench_dataset(seed, noise_frac):
 
 
 def _sigma_scores(model, sketches):
-    _, logvar, _ = encode_sketch_batch(model, sketches.features)
+    _, logvar = encode_sketch_batch(model, sketches.features)
     return [harmonic_mean(row) for row in np.exp(logvar)]
 
 
 def _cross_modal_map(sketch_model, shape_model, ds):
     sketches, shapes = ds.sketches("test"), ds.shapes("test")
-    queries, _, _ = encode_sketch_batch(sketch_model, sketches.features)
-    gallery, _ = encode_shape_batch(shape_model, shapes.features)
+    queries, _ = encode_sketch_batch(sketch_model, sketches.features)
+    gallery = encode_shape_batch(shape_model, shapes.features)
     return evaluate(queries, gallery, sketches.labels, shapes.labels).map
 
 

@@ -1,18 +1,22 @@
-"""Peak memory of the encoder and the ranking, traced with tracemalloc.
+"""Peak memory of the shape load, the encoder and the ranking, traced with
+tracemalloc.
 
-numpy reports its array allocations to tracemalloc, so the traced peak of
-a call bounds the memory it holds at once.  The inputs are fixed and built
-before tracing starts; the bounds are multiples of the data a call must
-hold, so they fail if a layer keeps a pre-activation beside its output or
-a ranking block holds a second copy of its similarities.
+numpy and Python report their allocations to tracemalloc, so the traced
+peak of a call bounds the memory it holds at once.  The inputs are fixed
+and built before tracing starts; the bounds are multiples of the data a
+call must hold, so they fail if the shape load copies the view matrix, the
+encoder holds more than a few blocks of activations, or a ranking block
+holds a second copy of its similarities.
 """
 
 import tracemalloc
 
 import numpy as np
 
+from sketchshape.data import generate, load_dataset, save_dataset
 from sketchshape.metrics import BLOCK_QUERIES, evaluate
 from sketchshape.model import encode_shape_batch, init_shape_model
+from sketchshape.ops import BLOCK_ROWS
 from sketchshape.rng import Rng
 from sketchshape.train import TrainConfig
 
@@ -28,22 +32,38 @@ def _traced_peak(call) -> int:
 
 
 def test_encode_shape_batch_holds_one_array_per_layer():
-    """The prepared views and each backbone layer's output, one view block
-    each, and little more: a layer keeping its pre-activation too, or
-    adding the bias into a second array, takes the peak to four blocks or
-    more."""
+    """Beyond its output, the encoder holds a padded block's prepared views
+    and each backbone layer's output, a block of BLOCK_ROWS x 12 x 64
+    values each, and the prepare step's temporaries: about 4.2 blocks,
+    whatever the number of shapes.  Encoding the whole batch at once takes
+    it to 24 blocks at 1000 shapes and 97 at 4000."""
     rng = Rng(3)
     model = init_shape_model(TrainConfig(feature_dim=64, hidden=(64, 64), embed_dim=32), rng)
-    views = rng.normal_matrix(1000 * 12, 64).reshape(1000, 12, 64)
-    assert _traced_peak(lambda: encode_shape_batch(model, views)) <= 3.5 * views.nbytes
+    block = BLOCK_ROWS * 12 * 64 * 8
+    for shapes in (1000, 4000):
+        views = rng.normal_matrix(shapes * 12, 64).reshape(shapes, 12, 64)
+        output = shapes * 32 * 8
+        assert _traced_peak(lambda: encode_shape_batch(model, views)) - output <= 5 * block, shapes
 
 
-def _evaluate_peak(classes: int) -> float:
-    """Traced peak of ``evaluate`` on 1000 x 10000 normals (dim 32) with
-    ``classes`` classes, in blocks of BLOCK_QUERIES x G similarities."""
+def test_shape_load_holds_one_copy_of_the_view_matrix(tmp_path):
+    """A shapes.csv in the writer's order loads as a view of the parsed
+    matrix: about 1.55 times the view bytes, the rest being ids and
+    per-row bookkeeping.  Gathering a second copy of the block takes it
+    to about 2.5."""
+    ds = generate(10, 30, 30, 64, 12, 0.0, "ambiguous", Rng(1), seed=1)
+    save_dataset(ds, tmp_path)
+    view_bytes = ds.shape.features.nbytes
+    del ds
+    assert _traced_peak(lambda: load_dataset(tmp_path, "shape")) <= 2.0 * view_bytes
+
+
+def _evaluate_peak(classes: int, count: int = 1000, items: int = 10000) -> float:
+    """Traced peak of ``evaluate`` on ``count`` x ``items`` normals (dim 32)
+    with ``classes`` classes, in blocks of BLOCK_QUERIES x G similarities."""
     rng = Rng(3)
-    queries, gallery = rng.normal_matrix(1000, 32), rng.normal_matrix(10000, 32)
-    query_labels, gallery_labels = np.arange(1000) % classes, np.arange(10000) % classes
+    queries, gallery = rng.normal_matrix(count, 32), rng.normal_matrix(items, 32)
+    query_labels, gallery_labels = np.arange(count) % classes, np.arange(items) % classes
     peak = _traced_peak(lambda: evaluate(queries, gallery, query_labels, gallery_labels))
     return peak / (BLOCK_QUERIES * len(gallery) * 8)
 
@@ -56,7 +76,17 @@ def test_evaluate_holds_a_block_its_keys_and_their_sorted_copy():
 
 
 def test_evaluate_frees_the_gallery_dedup_copies():
-    """With 10 classes each query has 1000 relevant items, whose per-query
-    lists add to the peak.  Holding the deduplication's gallery copy and its
-    sorted rows for the whole evaluation as well takes it past the bound."""
+    """With 10 classes each query has 1000 relevant items.  Holding the
+    deduplication's gallery copy and its sorted rows for the whole
+    evaluation as well takes the peak past the bound."""
     assert _evaluate_peak(10) <= 3.5
+
+
+def test_evaluate_scores_many_relevant_items_in_arrays():
+    """With 2 classes, half the gallery is relevant to each query, and
+    scoring a block holds a few int64 and float64 values per relevant
+    item: about 5.5 blocks in all.  Counting the items below each recall
+    level through an items x 11 comparison cast to int64, or turning a
+    whole block's precisions and discounts into Python floats, takes it to
+    about 10.6.  One block of 128 queries against 2000 items shows it."""
+    assert _evaluate_peak(2, BLOCK_QUERIES, 2000) <= 7.0

@@ -41,13 +41,13 @@ def _tiny_cfg(**overrides):
 
 def _encode_one_sketch(model, x):
     """(mu, logvar) of one feature vector, through a one-row batch."""
-    mu, logvar, _ = encode_sketch_batch(model, np.asarray(x)[None, :])
+    mu, logvar = encode_sketch_batch(model, np.asarray(x)[None, :])
     return mu[0], logvar[0]
 
 
 def _encode_one_shape(model, views):
     """The embedding of one V x D_in view matrix, through a one-shape batch."""
-    f, _ = encode_shape_batch(model, np.asarray(views)[None, :, :])
+    f = encode_shape_batch(model, np.asarray(views)[None, :, :])
     return f[0]
 
 
@@ -187,7 +187,7 @@ class TestEncodeSketch:
     def test_finite_outputs(self):
         model = init_sketch_model(_tiny_cfg(), Rng(5))
         x = Rng(6).uniform_matrix(20, 5, -2.0, 2.0)
-        mu, lv, _ = encode_sketch_batch(model, x)
+        mu, lv = encode_sketch_batch(model, x)
         assert np.isfinite(mu).all() and np.isfinite(lv).all()
 
     def test_non_finite_parameter_rejected(self):
@@ -328,7 +328,7 @@ class TestEncodeShape:
     def test_batch_matches_single(self):
         model = init_shape_model(_tiny_cfg(), Rng(32))
         views = Rng(33).uniform_matrix(9, 5, -1.0, 1.0).reshape(3, 3, 5)
-        batch, _ = encode_shape_batch(model, views)
+        batch = encode_shape_batch(model, views)
         for i in range(3):
             np.testing.assert_allclose(batch[i], _encode_one_shape(model, views[i]), atol=1e-14)
 

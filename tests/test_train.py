@@ -10,6 +10,10 @@ import pytest
 from sketchshape.data import generate
 from sketchshape.losses import Classifier, center_accuracy, transfer_loss, uncertainty_loss
 from sketchshape.model import (
+    _prepare_sketches,
+    _prepare_views,
+    _shape_forward,
+    _sketch_forward,
     encode_shape_batch,
     encode_sketch_batch,
     init_classifier,
@@ -19,6 +23,7 @@ from sketchshape.model import (
     shape_backward,
     sketch_backward,
 )
+from sketchshape.ops import require_finite
 from sketchshape.rng import Rng
 from sketchshape import train as train_mod
 from sketchshape.train import (
@@ -256,7 +261,7 @@ class TestStage1:
         ds = easy_dataset(2)
         sketches = ds.sketches("train")
         model, classifier, report = train_stage1(sketches, easy_cfg(), Rng(2))
-        mu, _, _ = encode_sketch_batch(model, sketches.features)
+        mu, _ = encode_sketch_batch(model, sketches.features)
         acc = center_accuracy(mu, classifier, sketches.labels)
         assert acc >= 0.99
         assert classifier.frozen
@@ -419,7 +424,7 @@ class TestStage2:
         ds, cfg, _, classifier = self._stage1()
         shapes = ds.shapes("train")
         model, _ = train_stage2(shapes, classifier, cfg, Rng(10))
-        emb, _ = encode_shape_batch(model, shapes.features)
+        emb = encode_shape_batch(model, shapes.features)
         acc = center_accuracy(emb, classifier, shapes.labels)
         assert acc >= 0.99
 
@@ -444,13 +449,16 @@ def _reference_fit(cfg, rng, n, params, step):
 
 
 def reference_stage1(samples, cfg, rng):
-    """train_stage1 built from the public checked functions alone."""
+    """train_stage1 built from the public checked functions alone, with
+    the encoder's one-product forward pass checked per step."""
     x, y = samples.features, samples.labels
     model = init_sketch_model(cfg, rng)
     classifier = init_classifier(cfg, rng)
 
     def step(batch):
-        mu, logvar, cache = encode_sketch_batch(model, x[batch])
+        mu, logvar, cache = _sketch_forward(model, _prepare_sketches(x[batch]))
+        require_finite(mu, "sketch mu")
+        require_finite(logvar, "sketch logvar")
         z = reparameterize(mu, logvar, rng.normal_matrix(len(batch), cfg.embed_dim))
         loss, dmu, dlogvar, dw = uncertainty_loss(z, mu, logvar, classifier, y[batch], cfg.sketch_margins(), cfg.lam)
         return loss, sketch_backward(model, cache, dmu, dlogvar) + [dw]
@@ -460,12 +468,14 @@ def reference_stage1(samples, cfg, rng):
 
 
 def reference_stage2(samples, classifier, cfg, rng):
-    """train_stage2 built from the public checked functions alone."""
+    """train_stage2 built from the public checked functions alone, with
+    the encoder's one-product forward pass checked per step."""
     x, y = samples.features, samples.labels
     model = init_shape_model(cfg, rng)
 
     def step(batch):
-        f, cache = encode_shape_batch(model, x[batch])
+        f, cache = _shape_forward(model, _prepare_views(x[batch]))
+        require_finite(f, "shape embedding")
         loss, df, _ = transfer_loss(f, classifier, y[batch], cfg.shape_margins())
         return loss, shape_backward(model, cache, df)
 
