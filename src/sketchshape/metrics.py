@@ -20,13 +20,14 @@ rounded summation (math.fsum), so any correct implementation of these
 definitions produces bit-identical averages.
 
 Queries are ranked and scored in blocks of BLOCK_QUERIES, so memory grows
-with BLOCK_QUERIES x G rather than with Q x G; each block's similarities
-are one matrix product of unit-length rows, the last block padded to
+with BLOCK_QUERIES x G rather than with Q x G.  Each block's similarities
+are one product of unit-length rows, the last block padded to
 BLOCK_QUERIES rows with copies of one of its queries (``ops.padded_blocks``)
-and the gallery padded to a multiple of 16 items, so a query's
-similarities do not depend on which other queries share its block, or on
-its row in the block.  Every metric, and the
-interpolated precision-recall curve, follows from the ranks of the
+and the gallery to a multiple of 16 items (``ops.padded_columns``).  So a
+query's similarities depend on neither the other queries in its block nor
+its row there, and a gallery row's similarity does not depend on the
+row's place in the gallery: repeated gallery rows always tie.  Every
+metric, and the interpolated precision-recall curve, follows from the ranks of the
 relevant items alone, so the block ranks similarity values, not gallery
 positions: numpy's value sort orders a copy of each row's keys, and the
 relevant items' keys, sorted too, are found by binary search in the sorted
@@ -36,10 +37,11 @@ equal (+0.0 and -0.0 included) falls back to a stable argsort, which keeps
 equal similarities in gallery order.  Beyond the similarities themselves
 a block holds one sorted copy of them and a boolean relevance mask.
 Embeddings must be finite: NaN compares unequal to itself and would hide
-a tie.  Repeated gallery rows always tie, since each distinct row is
-multiplied once.  Other equal cosines rank by gallery position only where
-both round to the same value, as for all-zero rows; parallel rows such as
-(1, 1) and (3, 3) may not.  All six metrics come from one function,
+a tie.  Exact rescalings of a row, such as (1, 0) and (2, 0), tie too,
+since ``ops.normalize_rows_fwd`` turns them into the same unit row.
+Other equal cosines rank by gallery position only where both round to
+the same value, as for all-zero rows; rows that are parallel only up to
+rounding may not tie.  All six metrics come from one function,
 ``_score_block``; the single-query functions call it with one row.
 
 The DCG discounts come from math.log2, as in the brute-force oracle, since
@@ -52,12 +54,11 @@ from itertools import compress
 
 import numpy as np
 
-from .ops import BLOCK_ROWS, _pad_rows, _shape, l2_normalize_rows, padded_blocks, require_finite
+from .ops import BLOCK_ROWS, l2_normalize_rows, padded_blocks, padded_columns, require_finite
 
 E_MEASURE_CUTOFF = 32
 PR_RECALL_LEVELS = tuple(i / 10.0 for i in range(11))
 BLOCK_QUERIES = BLOCK_ROWS
-_GALLERY_MULTIPLE = 16
 
 
 @dataclass
@@ -114,7 +115,7 @@ def _blocks(queries, gallery, query_labels, gallery_labels):
     queries = require_finite(np.asarray(queries, dtype=np.float64), "queries")
     gallery = require_finite(np.asarray(gallery, dtype=np.float64), "gallery")
     if queries.ndim != 2 or gallery.ndim != 2 or queries.shape[1] != gallery.shape[1]:
-        raise ValueError(f"query/gallery dim mismatch: {_shape(queries)} vs {_shape(gallery)}")
+        raise ValueError(f"query/gallery dim mismatch: {queries.shape} vs {gallery.shape}")
     if gallery.shape[0] < 1:
         raise ValueError("gallery must not be empty")
     query_labels = np.asarray(query_labels, dtype=np.int64)
@@ -122,29 +123,9 @@ def _blocks(queries, gallery, query_labels, gallery_labels):
     for name, labels, rows in (("query_labels", query_labels, queries), ("gallery_labels", gallery_labels, gallery)):
         if labels.shape != rows.shape[:1]:
             raise ValueError(f"{name} has shape {labels.shape} for {rows.shape[0]} {name.partition('_')[0]} rows")
-    unit_queries = l2_normalize_rows(queries)
-    unit_gallery = l2_normalize_rows(gallery)
-    # BLAS may round one dot product differently in different output
-    # columns, so a repeated gallery row need not tie with itself.  A
-    # gallery with repeats is multiplied by its distinct rows, and each item
-    # takes its row's column.  Adding 0.0 turns -0.0 into 0.0, so rows that
-    # compare equal have equal bytes.
-    row_bytes = (unit_gallery + 0.0).view(np.dtype((np.void, 8 * unit_gallery.shape[1]))).ravel()
-    _, first, columns = np.unique(row_bytes, return_index=True, return_inverse=True)
-    # This generator's frame lives for the whole evaluation: free the gallery
-    # copy and its sorted rows now.
-    del row_bytes, _
-    if first.size < columns.size:
-        unit_gallery = unit_gallery[first]
-    else:
-        columns = slice(0, columns.size)
-    # OpenBLAS's SkylakeX kernel multiplies the last (rows mod 8) gallery
-    # rows with a kernel whose bits depend on the query's row in the block,
-    # so the gallery is padded to a multiple of _GALLERY_MULTIPLE rows.
-    padded = -(-len(unit_gallery) // _GALLERY_MULTIPLE) * _GALLERY_MULTIPLE
-    unit_gallery_t = _pad_rows(unit_gallery, padded).T
-    for start, stop, block in padded_blocks(unit_queries):
-        keys = (block @ unit_gallery_t)[: stop - start, columns]
+    unit_gallery_t = padded_columns(l2_normalize_rows(gallery))
+    for start, stop, block in padded_blocks(l2_normalize_rows(queries)):
+        keys = (block @ unit_gallery_t)[: stop - start, : len(gallery)]
         np.negative(keys, out=keys)
         yield start, keys, gallery_labels == query_labels[start:stop, None]
 

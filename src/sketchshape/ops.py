@@ -13,7 +13,11 @@ cosine losses and retrieval metrics exactly scale-invariant.
 short last block with copies of one of its rows.  OpenBLAS multiplies a
 product of few rows with another kernel, which rounds differently, so a
 row's product would otherwise depend on how many rows share it; with every
-product at BLOCK_ROWS rows it depends on that row alone.
+product at BLOCK_ROWS rows it depends on that row alone.  ``padded_columns``
+pads the right operand to a multiple of _COLUMN_MULTIPLE rows the same
+way: OpenBLAS's SkylakeX kernel rounds the last (columns mod 8) columns of
+a product depending on the left row's place in the block, and with none
+left over a repeated right-operand row gets the same bits in every column.
 """
 
 import itertools
@@ -22,6 +26,7 @@ import numpy as np
 
 NORM_EPS = 1e-12
 BLOCK_ROWS = 128
+_COLUMN_MULTIPLE = 16
 
 
 def _shape(a: np.ndarray) -> str:
@@ -92,6 +97,12 @@ def padded_blocks(a: np.ndarray):
     for start in range(0, len(a), BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, len(a))
         yield start, stop, _pad_rows(a[start:stop], BLOCK_ROWS)
+
+
+def padded_columns(b: np.ndarray) -> np.ndarray:
+    """``b.T`` with copies of b's first row appended as columns, up to a
+    multiple of _COLUMN_MULTIPLE; the real columns are the first len(b)."""
+    return _pad_rows(b, -(-len(b) // _COLUMN_MULTIPLE) * _COLUMN_MULTIPLE).T
 
 
 def l2_normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:

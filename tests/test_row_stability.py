@@ -7,6 +7,9 @@ property of the BLAS, stated by ``test_padded_row_rule``: a row of a
 product with at least BLOCK_ROWS rows has the same bits whatever the other
 rows are.  OpenBLAS takes a small-matrix kernel, which rounds differently,
 for a product of few rows, so unpadded short blocks would not have it.
+The ranking also pads the gallery (``ops.padded_columns``), and
+``test_padded_column_rule`` states what that gives: repeated gallery rows
+get the same bits in every column, so they tie.
 """
 
 import functools
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 from sketchshape.metrics import _blocks, evaluate
 from sketchshape.model import encode_shape_batch, encode_sketch_batch, init_shape_model, init_sketch_model
-from sketchshape.ops import BLOCK_ROWS, padded_blocks
+from sketchshape.ops import BLOCK_ROWS, padded_blocks, padded_columns
 from sketchshape.rng import Rng
 from sketchshape.train import TrainConfig
 
@@ -71,32 +74,55 @@ def _query_split():
     return queries, gallery, labels, ids, _keys(queries, gallery, labels, labels), report.per_query
 
 
-def _blocked_product(x, w, order) -> np.ndarray:
-    """Rows ``order`` of the N x group x in array ``x``, times ``w.T`` in
+def _blocked_product(x, right, order) -> np.ndarray:
+    """Rows ``order`` of the N x group x in array ``x``, times ``right`` in
     padded blocks of BLOCK_ROWS x group rows, as the encoders multiply."""
-    out = np.empty((len(order), x.shape[1], len(w)))
+    out = np.empty((len(order), x.shape[1], right.shape[1]))
     for start, stop, block in padded_blocks(x[order]):
-        out[start:stop] = (block.reshape(-1, x.shape[2]) @ w.T).reshape(BLOCK_ROWS, x.shape[1], -1)[: stop - start]
+        out[start:stop] = (block.reshape(-1, x.shape[2]) @ right).reshape(BLOCK_ROWS, x.shape[1], -1)[: stop - start]
     return out
 
 
 @pytest.mark.parametrize(
     "inputs, outputs, group",
-    [(16, 64, 1), (64, 64, 1), (64, 32, 1), (64, 10, 1), (16, 64, VIEWS), (64, 64, VIEWS), (32, 304, 1)],
+    [(16, 64, 1), (64, 64, 1), (64, 32, 1), (64, 10, 1), (16, 64, VIEWS), (64, 64, VIEWS), (32, SPLIT, 1)],
 )
 def test_padded_row_rule(inputs, outputs, group):
     """In a product of BLOCK_ROWS x group rows, each row's bits depend on
     that row alone: not on the other rows, nor on its place among them.
     The shapes are the encoder layers' (in -> out), the shape backbone's
-    with VIEWS rows per shape, and the desk eval's (32-dim queries against
-    300 gallery items, padded to 304)."""
+    with VIEWS rows per shape, and the desk eval's: 32-dim queries against
+    SPLIT gallery items, padded as eval pads them."""
     rng = Rng(inputs * 1000 + outputs)
     x = rng.normal_matrix((3 * BLOCK_ROWS + 44) * group, inputs).reshape(-1, group, inputs)
     w = rng.normal_matrix(outputs, inputs)
-    whole = _blocked_product(x, w, np.arange(len(x)))
+    right = padded_columns(w) if outputs == SPLIT else w.T
+    whole = _blocked_product(x, right, np.arange(len(x)))
     order = np.array(rng.permutation(len(x)))
     for rows in (order, order[: BLOCK_ROWS - 1], order[:1], np.arange(44)):
-        assert _blocked_product(x, w, rows).tobytes() == whole[rows].tobytes()
+        assert _blocked_product(x, right, rows).tobytes() == whole[rows].tobytes()
+
+
+@pytest.mark.parametrize("items, dim", [(300, 32), (4097, 64), (10000, 32)])
+def test_padded_column_rule(items, dim):
+    """In a product of padded blocks with ``padded_columns`` of a gallery,
+    each copy of a repeated gallery row gets the same bits in every column,
+    wherever it sits, the last (items mod 16) columns included.  Unpadded,
+    OpenBLAS's SkylakeX kernel gives other bits in the last (items mod 8)
+    columns at 300 and 4097 items."""
+    rng = Rng(items + dim)
+    queries = rng.normal_matrix(3 * BLOCK_ROWS + 44, dim)
+    gallery = rng.normal_matrix(items, dim)
+    order = np.array(rng.permutation(items - 12))
+    sources = order[48:56]
+    copies = np.concatenate([order[:48], np.arange(items - 12, items)])
+    gallery[copies] = gallery[sources[np.arange(len(copies)) % len(sources)]]
+    right = padded_columns(gallery)
+    product = np.concatenate([(block @ right)[: stop - start, :items] for start, stop, block in padded_blocks(queries)])
+    for i, source in enumerate(sources):
+        columns = np.concatenate([[source], copies[i :: len(sources)]])
+        expected = np.repeat(product[:, [source]], len(columns), axis=1)
+        assert product[:, columns].tobytes() == expected.tobytes(), source
 
 
 def test_padded_blocks_pad_the_last_block_with_a_real_row():
