@@ -27,7 +27,13 @@ formatted in a pool of worker processes when the write is large and the
 process may use more than one CPU; the bytes are the same either way.  A
 dataset holds these columns per modality (``Samples``) from generate or
 the parse to the encoder or writer, a shape's view rows as one
-N x views x dim block.
+N x views x dim block: shapes.csv is written from that block, views rows
+per sample, and loaded into it as a view of the parsed matrix when its
+rows come in the writer's order.  A split that is one contiguous range of
+rows, as in every generated dataset, is a view of the loaded columns
+(``Dataset.subset``), so embed and report-uncertainty hold one copy of the
+features; editing such a subset in place edits the dataset, which no
+caller here does.
 """
 
 import math
@@ -104,10 +110,19 @@ class Dataset:
     shape: Samples | None = None
 
     def subset(self, modality: str, split: str) -> Samples:
+        """The samples of ``split`` in file order.  When they are one
+        contiguous range of rows, as in every generated dataset, the
+        columns are slices: the lists are copied, but the arrays are views
+        of the dataset's, so editing them in place edits the dataset.  Any
+        other split is copied by Samples.take."""
         samples = getattr(self, modality) if modality in ("sketch", "shape") else None
         if samples is None:
             raise ValueError(f"the dataset holds no {modality} samples")
-        return samples.take(np.array([i for i, s in enumerate(samples.splits) if s == split], dtype=np.int64))
+        rows = [i for i, s in enumerate(samples.splits) if s == split]
+        if rows and rows[-1] - rows[0] != len(rows) - 1:
+            return samples.take(np.array(rows, dtype=np.int64))
+        part = slice(rows[0], rows[-1] + 1) if rows else slice(0)
+        return Samples(*(None if column is None else column[part] for column in samples))
 
     def sketches(self, split: str) -> Samples:
         return self.subset("sketch", split)
@@ -197,21 +212,23 @@ def generate(
 
 def write_feature_csv(path, ids, labels, splits, modalities, matrix) -> None:
     """One row per sample: the four text columns, then the row of
-    ``matrix`` (rows x dim) in repr.  Rows are formatted in blocks; a
-    write of at least _POOL_MIN_VALUES values, in a process that may run
-    on more than one CPU, formats them in a pool of worker processes and
-    writes the same bytes."""
+    ``matrix`` (rows x dim) in repr.  An N x views x dim ``matrix`` writes
+    ``views`` rows per sample, with ids ``<id>.vNN`` (shapes.csv).  Rows
+    are formatted in blocks; a write of at least _POOL_MIN_VALUES values,
+    in a process that may run on more than one CPU, formats them in a
+    pool of worker processes and writes the same bytes."""
     rows = matrix.shape[0]
     lengths = [len(column) for column in (ids, labels, splits, modalities)]
     if lengths != [rows] * 4:
         raise ValueError(f"ids, labels, splits and modalities have {lengths} entries, matrix has {rows} rows")
+    step = max(1, _BLOCK_ROWS // matrix.shape[1]) if matrix.ndim == 3 else _BLOCK_ROWS
     blocks = (
-        tuple(column[start : start + _BLOCK_ROWS] for column in (ids, labels, splits, modalities, matrix))
-        for start in range(0, rows, _BLOCK_ROWS)
+        tuple(column[start : start + step] for column in (ids, labels, splits, modalities, matrix))
+        for start in range(0, rows, step)
     )
     workers = _usable_cpus()
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("id,label,split,modality," + ",".join(f"v{i}" for i in range(matrix.shape[1])) + "\n")
+        fh.write("id,label,split,modality," + ",".join(f"v{i}" for i in range(matrix.shape[-1])) + "\n")
         if workers > 1 and matrix.size >= _POOL_MIN_VALUES:
             _write_pooled(fh, blocks, workers)
         else:
@@ -220,7 +237,14 @@ def write_feature_csv(path, ids, labels, splits, modalities, matrix) -> None:
 
 
 def _format_rows(ids, labels, splits, modalities, matrix) -> str:
-    """The CSV text of a block of rows, each value in repr."""
+    """The CSV text of a block of samples, each value in repr: one row per
+    sample, or per view of a sample of an N x views x dim block."""
+    if matrix.ndim == 3:
+        suffixes = [f".v{j:02d}" for j in range(matrix.shape[1])]
+        ids = [sample_id + suffix for sample_id in ids for suffix in suffixes]
+        labels, splits, modalities = ([value for value in column for _ in suffixes]
+                                      for column in (labels, splits, modalities))
+        matrix = matrix.reshape(-1, matrix.shape[2])
     return "".join(
         f"{sample_id},{label},{split},{modality},{','.join(map(repr, values))}\n"
         for sample_id, label, split, modality, values in zip(ids, labels, splits, modalities, matrix.tolist())
@@ -400,15 +424,9 @@ def save_dataset(ds: Dataset, outdir) -> None:
     n = len(sketch.ids)
     write_feature_csv(outdir / "sketches.csv", sketch.ids, sketch.labels.tolist(), sketch.splits, ["sketch"] * n,
                       sketch.features)
-    n, views, dim = shape.features.shape
-    write_feature_csv(
-        outdir / "shapes.csv",
-        [f"{sample_id}.v{j:02d}" for sample_id in shape.ids for j in range(views)],
-        np.repeat(shape.labels, views).tolist(),
-        [split for split in shape.splits for _ in range(views)],
-        ["shape"] * (n * views),
-        shape.features.reshape(n * views, dim),
-    )
+    n = len(shape.ids)
+    write_feature_csv(outdir / "shapes.csv", shape.ids, shape.labels.tolist(), shape.splits, ["shape"] * n,
+                      shape.features)
     with open(outdir / "noisy.csv", "w", encoding="ascii") as fh:
         fh.write("id,noisy\n")
         fh.writelines(f"{sample_id},{int(flag)}\n" for sample_id, flag in zip(sketch.ids, sketch.noisy.tolist()))
@@ -475,32 +493,45 @@ def _read_rows(path, manifest: Manifest, modality: str):
 
 def _load_shapes(indir: Path, manifest: Manifest) -> Samples:
     """One sample per shape from its view rows, which must agree on label
-    and split and be numbered .v00 to the manifest's view count.  The
+    and split and be numbered .v00 to the manifest's view count.  Each row
+    gets its shape's index (shapes in order of first appearance) and its
+    view number, and one stable lexsort groups the rows.  The
     N x views x dim block is a view of the parsed matrix when the rows come
     in the writer's order (each shape's views together, .v00 first), and is
     gathered with one index array otherwise."""
     path = indir / "shapes.csv"
     ids, labels, splits, matrix = _read_rows(path, manifest, "shape")
-    grouped, meta = {}, {}
-    for i, (sample_id, row_meta) in enumerate(zip(ids, zip(labels.tolist(), splits))):
+    views = manifest.views
+    index, first, shape_of, view_of = {}, array("q"), array("q"), array("q")
+    for i, sample_id in enumerate(ids):
         base, _, suffix = sample_id.rpartition(".v")
         if not base or not suffix.isdigit():
             raise ValueError(f"{path}: view row id {sample_id!r} lacks a .vNN suffix")
-        if meta.setdefault(base, row_meta) != row_meta:
-            raise ValueError(f"{path}: view row {sample_id} disagrees with shape {base} on label or split")
-        grouped.setdefault(base, []).append((int(suffix), i))
-    rows = []
-    for base, items in grouped.items():
-        items.sort()
-        views = [j for j, _ in items]
-        if views != list(range(manifest.views)):
-            raise ValueError(f"{path}: shape {base} has views {views}, manifest says {manifest.views}")
-        rows.extend(i for _, i in items)
-    rows = np.array(rows, dtype=np.int64).reshape(len(grouped), manifest.views)
-    in_order = np.array_equal(rows.ravel(), np.arange(rows.size))
+        if base not in index:
+            index[base] = len(first)
+            first.append(i)
+        shape_of.append(index[base])
+        # A view number past the last is a fault whatever its size; capped, it fits an int64.
+        view_of.append(min(int(suffix), views))
+    bases = list(index)
+    first, shape_of, view_of = (np.frombuffer(column, dtype=np.int64) for column in (first, shape_of, view_of))
+    shape_labels, shape_splits = labels[first], [splits[i] for i in first.tolist()]
+    disagree = np.flatnonzero((labels != shape_labels[shape_of])
+                              | (np.array(splits, dtype=object) != np.array(shape_splits, dtype=object)[shape_of]))
+    if disagree.size:
+        i = disagree[0]
+        raise ValueError(f"{path}: view row {ids[i]} disagrees with shape {bases[shape_of[i]]} on label or split")
+    order = np.lexsort((view_of, shape_of))
+    if order.size != len(bases) * views or (view_of[order].reshape(-1, views) != np.arange(views)).any():
+        found = [[] for _ in bases]
+        for sample_id, k in zip(ids, shape_of.tolist()):
+            found[k].append(int(sample_id.rpartition(".v")[2]))
+        k = next(k for k, numbers in enumerate(found) if sorted(numbers) != list(range(views)))
+        raise ValueError(f"{path}: shape {bases[k]} has views {sorted(found[k])}, manifest says {views}")
+    rows = order.reshape(len(bases), views)
+    in_order = np.array_equal(order, np.arange(order.size))
     block = matrix.reshape(*rows.shape, matrix.shape[1]) if in_order else matrix[rows]
-    first, flags = rows[:, 0], np.zeros(len(grouped), dtype=bool)
-    return Samples(list(grouped), labels[first], [splits[i] for i in first.tolist()], block, flags)
+    return Samples(bases, shape_labels, shape_splits, block, np.zeros(len(bases), dtype=bool))
 
 
 def load_dataset(indir, modality=None) -> Dataset:

@@ -262,17 +262,61 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=pattern):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize(
+        "line, edit, pattern",
+        [
+            (3, lambda text: [text.replace(",0,train,", ",1,train,", 1)],
+             r"shapes.csv: view row shape_train_0000.v01 disagrees with shape shape_train_0000 on label or split$"),
+            (4, lambda text: [], r"shapes.csv: shape shape_train_0000 has views \[0, 1\], manifest says 3$"),
+            (2, lambda text: [text.replace(".v00,", ".v" + "9" * 25 + ",", 1)],
+             r"shapes.csv: shape shape_train_0000 has views \[1, 2, 9{25}\], manifest says 3$"),
+        ],
+        ids=["view-label", "missing-last-view", "huge-view-number"],
+    )
+    def test_view_row_faults_rejected(self, tmp_path, line, edit, pattern):
+        """A view row whose label disagrees with its shape's first row, a
+        shape short of its last view, and a view number past int64 are
+        each named with the shape (and row) at fault."""
+        save_dataset(small_dataset(seed=9), tmp_path)
+        lines = (tmp_path / "shapes.csv").read_text().splitlines()
+        lines[line - 1 : line] = edit(lines[line - 1])
+        (tmp_path / "shapes.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=pattern):
+            load_dataset(tmp_path)
+
     def test_shuffled_view_rows_load_to_the_same_records(self, tmp_path):
         save_dataset(small_dataset(seed=15, views=4), tmp_path / "a")
         save_dataset(small_dataset(seed=15, views=4), tmp_path / "b")
         header, *rows = (tmp_path / "b" / "shapes.csv").read_text().splitlines()
         Rng(16).shuffle(rows)
         (tmp_path / "b" / "shapes.csv").write_text("\n".join([header, *rows]) + "\n")
-        a, b = (load_dataset(tmp_path / sub, "shape").shape for sub in ("a", "b"))
+        shuffled = load_dataset(tmp_path / "b", "shape")
+        a, b = load_dataset(tmp_path / "a", "shape").shape, shuffled.shape
         assert sorted(b.ids) == sorted(a.ids) and b.ids != a.ids
         position = {sample_id: i for i, sample_id in enumerate(b.ids)}
         assert_same_samples(b.take(np.array([position[i] for i in a.ids])), a)
         assert a.features.shape[1:] == (4, 8) and not a.noisy.any()
+        # The shuffled file's splits are interleaved, so a split is a copy.
+        for split in ("train", "test"):
+            rows = np.flatnonzero(np.array(b.splits) == split)
+            assert (np.diff(rows) != 1).any()
+            got = shuffled.subset("shape", split)
+            assert_same_samples(got, b.take(rows))
+            assert not any(np.shares_memory(getattr(got, name), getattr(b, name))
+                           for name in ("labels", "features", "noisy"))
+
+    def test_contiguous_split_is_a_view_of_the_loaded_columns(self, tmp_path):
+        save_dataset(small_dataset(seed=9, noise_frac=0.3), tmp_path)
+        ds = load_dataset(tmp_path)
+        for modality in ("sketch", "shape"):
+            samples = getattr(ds, modality)
+            for split in ("train", "test"):
+                rows = np.flatnonzero(np.array(samples.splits) == split)
+                assert rows.tolist() == list(range(rows[0], rows[-1] + 1))
+                got = ds.subset(modality, split)
+                assert_same_samples(got, samples.take(rows))
+                for name in ("labels", "features", "noisy"):
+                    assert np.shares_memory(getattr(got, name), getattr(samples, name)), (modality, split, name)
 
     def test_unknown_modality_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="modality"):
@@ -373,18 +417,41 @@ class TestEmbeddingFiles:
         columns = [[f"s{i}" for i in range(rows)], [0] * rows, ["train"] * rows, ["sketch"] * rows]
         del columns[short][rows // 2]
         path = tmp_path / "f.csv"
-        with pytest.raises(ValueError, match=rf"matrix has {rows} rows"):
-            write_feature_csv(path, *columns, np.zeros((rows, 2)))
+        for matrix in (np.zeros((rows, 2)), np.zeros((rows, 3, 2))):
+            with pytest.raises(ValueError, match=rf"matrix has {rows} rows"):
+                write_feature_csv(path, *columns, matrix)
         assert not path.exists()
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_pooled_write_has_the_serial_bytes(self, tmp_path, monkeypatch, dtype):
+    @pytest.mark.parametrize("views", [1, 3, 12, 300])
+    def test_view_block_writes_the_expanded_rows(self, tmp_path, views):
+        """An N x views x dim matrix writes the bytes of the expanded rows,
+        ids <id>.vNN, whether a block holds many samples or (at 300 views,
+        more than _BLOCK_ROWS) one."""
+        n = 300
+        matrix = Rng(views).uniform_matrix(n * views, 2, -1.0, 1.0)
+        ids, labels = [f"shape_{i:04d}" for i in range(n)], [i % 7 for i in range(n)]
+        splits = [("train", "test")[i % 2] for i in range(n)]
+        write_feature_csv(tmp_path / "block.csv", ids, labels, splits, ["shape"] * n, matrix.reshape(n, views, 2))
+        write_feature_csv(
+            tmp_path / "rows.csv", [f"{sample_id}.v{j:02d}" for sample_id in ids for j in range(views)],
+            [label for label in labels for _ in range(views)], [split for split in splits for _ in range(views)],
+            ["shape"] * (n * views), matrix,
+        )
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("dtype, views", [(np.float64, None), (np.float32, None), (np.float64, 12)],
+                             ids=["float64", "float32", "float64-12-views"])
+    def test_pooled_write_has_the_serial_bytes(self, tmp_path, monkeypatch, dtype, views):
         """A write above the pool's size floor gives the same bytes from a
-        pool as in-process, and a one-CPU process never starts the pool."""
-        rows = _POOL_MIN_VALUES // 8 + 3
-        matrix = Rng(17).uniform_matrix(rows, 8, -1.0, 1.0)
+        pool as in-process, and a one-CPU process never starts the pool;
+        an N x views x dim matrix too."""
+        per_sample = views or 1
+        rows = _POOL_MIN_VALUES // (8 * per_sample) + 3
+        matrix = Rng(17).uniform_matrix(rows * per_sample, 8, -1.0, 1.0)
         matrix[:, :4] = [-0.0, 5e-324, 1e16, 0.1]
         matrix = matrix.astype(dtype)
+        if views:
+            matrix = matrix.reshape(rows, views, 8)
         columns = [f"s{i}" for i in range(rows)], list(range(rows)), ["train"] * rows, ["shape"] * rows
         pooled = []
         write_pooled = data._write_pooled

@@ -1,19 +1,20 @@
-"""Peak memory of the shape load, the encoder and the ranking, traced with
-tracemalloc.
+"""Peak memory of the dataset writer, the shape load, the encoder and the
+ranking, traced with tracemalloc.
 
 numpy and Python report their allocations to tracemalloc, so the traced
 peak of a call bounds the memory it holds at once.  The inputs are fixed
 and built before tracing starts; the bounds are multiples of the data a
-call must hold, so they fail if the shape load copies the view matrix, the
-encoder holds more than a few blocks of activations, or a ranking block
-holds a second copy of its similarities.
+call must hold, so they fail if the writer expands the view rows' columns,
+the shape load copies the view matrix, the encoder holds more than a few
+blocks of activations, or a ranking block holds a second copy of its
+similarities.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from sketchshape.data import generate, load_dataset, save_dataset
+from sketchshape.data import _POOL_MIN_VALUES, generate, load_dataset, save_dataset
 from sketchshape.metrics import BLOCK_QUERIES, evaluate
 from sketchshape.model import encode_shape_batch, init_shape_model
 from sketchshape.ops import BLOCK_ROWS
@@ -44,6 +45,19 @@ def test_encode_shape_batch_holds_one_array_per_layer():
         views = rng.normal_matrix(shapes * 12, 64).reshape(shapes, 12, 64)
         output = shapes * 32 * 8
         assert _traced_peak(lambda: encode_shape_batch(model, views)) - output <= 5 * block, shapes
+
+
+def test_save_dataset_formats_one_block_of_view_rows_at_a_time(tmp_path):
+    """save_dataset writes shapes.csv from the N x views x dim block, a
+    block of samples at a time: about 0.71 times the feature bytes, the
+    Python floats and text of one block.  Expanding the view rows' ids,
+    labels and splits into lists first takes it to about 0.89.  The
+    dataset is below the pool's size floor, so the write runs in this
+    process, where tracemalloc sees it."""
+    ds = generate(10, 10, 10, 64, 12, 0.2, "ambiguous", Rng(1), seed=1)
+    assert ds.shape.features.size < _POOL_MIN_VALUES
+    feature_bytes = ds.sketch.features.nbytes + ds.shape.features.nbytes
+    assert _traced_peak(lambda: save_dataset(ds, tmp_path)) <= 0.8 * feature_bytes
 
 
 def test_shape_load_holds_one_copy_of_the_view_matrix(tmp_path):
