@@ -131,7 +131,7 @@ class Dataset:
         return self.subset("shape", split)
 
 
-def _class_prototypes(classes: int, dim: int, rng: Rng, max_cos: float = 0.5) -> np.ndarray:
+def _class_prototypes(classes: int, dim: int, rng: Rng) -> np.ndarray:
     protos = np.empty((classes, dim))
     attempts = 0
     limit = 1000 * classes
@@ -140,11 +140,11 @@ def _class_prototypes(classes: int, dim: int, rng: Rng, max_cos: float = 0.5) ->
         attempts += 1
         if attempts > limit:
             raise ValueError(
-                f"could not place {classes} prototypes with pairwise cosine < {max_cos} "
+                f"could not place {classes} prototypes with pairwise cosine < 0.5 "
                 f"in {dim} dimensions; increase the feature dimension"
             )
         cand = l2_normalize_rows(rng.normal_matrix(1, dim))[0]
-        if count and np.any(protos[:count] @ cand >= max_cos):
+        if count and np.any(protos[:count] @ cand >= 0.5):
             continue
         protos[count] = cand
         count += 1

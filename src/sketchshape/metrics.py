@@ -19,10 +19,10 @@ excluded from averages and counted in the report.  Aggregation uses exactly
 rounded summation (math.fsum), so any correct implementation of these
 definitions produces bit-identical averages.
 
-Queries are ranked and scored in blocks of BLOCK_QUERIES, so memory grows
-with BLOCK_QUERIES x G rather than with Q x G.  Each block's similarities
+Queries are ranked and scored in blocks of ops.BLOCK_ROWS, so memory grows
+with BLOCK_ROWS x G rather than with Q x G.  Each block's similarities
 are one product of unit-length rows, the last block padded to
-BLOCK_QUERIES rows with copies of one of its queries (``ops.padded_blocks``)
+BLOCK_ROWS rows with copies of one of its queries (``ops.padded_blocks``)
 and the gallery to a multiple of 16 items (``ops.padded_columns``).  So a
 query's similarities depend on neither the other queries in its block nor
 its row there, and a gallery row's similarity does not depend on the
@@ -54,11 +54,10 @@ from itertools import compress
 
 import numpy as np
 
-from .ops import BLOCK_ROWS, l2_normalize_rows, padded_blocks, padded_columns, require_finite
+from .ops import l2_normalize_rows, padded_blocks, padded_columns, require_finite
 
 E_MEASURE_CUTOFF = 32
 PR_RECALL_LEVELS = tuple(i / 10.0 for i in range(11))
-BLOCK_QUERIES = BLOCK_ROWS
 
 
 @dataclass
@@ -108,7 +107,7 @@ def _ids(ids, count: int) -> list:
 
 
 def _blocks(queries, gallery, query_labels, gallery_labels):
-    """Yield (start, keys, rel) per block of up to BLOCK_QUERIES queries
+    """Yield (start, keys, rel) per block of up to ops.BLOCK_ROWS queries
     from row ``start`` on: ``keys[i]`` holds the negated cosine of query
     ``start + i`` to every gallery item, so ascending keys rank best match
     first, and ``rel[i]`` marks the gallery items that share its label."""
@@ -144,14 +143,14 @@ def _relevant_ranks(keys, rel) -> list:
     return ranks
 
 
-def rank(queries, gallery, query_labels, gallery_labels, query_ids=None, gallery_ids=None):
+def rank(queries, gallery, query_labels, gallery_labels, query_ids, gallery_ids):
     """RankedList per query: descending cosine, ties by gallery position.
 
     >>> import numpy as np
     >>> ranked = rank(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0], [2.0, 0.0]]),
-    ...               np.array([7]), np.array([3, 7]))
+    ...               np.array([7]), np.array([3, 7]), ["q"], ["a", "b"])
     >>> ranked[0].gallery_ids, ranked[0].relevance.tolist()
-    ([1, 0], [1, 0])
+    (['b', 'a'], [1, 0])
     """
     query_ids = _ids(query_ids, len(queries))
     ranked = []
@@ -159,8 +158,7 @@ def rank(queries, gallery, query_labels, gallery_labels, query_ids=None, gallery
         order = np.argsort(keys, axis=1, kind="stable")
         hits = np.take_along_axis(rel, order, axis=1).astype(np.int64)
         for i, positions in enumerate(order.tolist()):
-            ids = positions if gallery_ids is None else [gallery_ids[j] for j in positions]
-            ranked.append(RankedList(query_ids[start + i], ids, hits[i]))
+            ranked.append(RankedList(query_ids[start + i], [gallery_ids[j] for j in positions], hits[i]))
     return ranked
 
 

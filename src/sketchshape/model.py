@@ -12,12 +12,12 @@ length of the mean.
 The private forward passes ``_sketch_forward`` and ``_shape_forward``,
 which training runs on every step, do arithmetic only and return caches
 consumed by the matching ``*_backward`` functions, which write the
-gradients into given arrays when asked to; parameters are plain float64
-arrays updated in place by the trainer, which makes each stage's
-parameters views of one vector.  An MLP's cache is its list of
-activations, one array per layer (each layer adds its bias and applies its
-relu in place on its product), and the backward pass takes each relu mask
-from the activations.
+gradients into the given views of one gradient vector, one list per network
+(``train._flat_parameters``); parameters are plain float64 arrays, which the
+trainer makes views of one vector and updates in place.  An MLP's cache
+is its list of activations, one array per layer (each layer adds its bias
+and applies its relu in place on its product), and the backward pass takes
+each relu mask from the activations.
 
 The public ``encode_*_batch`` functions return outputs only, and check
 once that they are finite.  They encode in blocks of ops.BLOCK_ROWS
@@ -82,26 +82,24 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
     return a, acts
 
 
-def mlp_backward(mlp: Mlp, cache, dout: np.ndarray, input_grad: bool = True, out=None):
-    """Returns (dinput, grads) with grads ordered weight, bias, layer by
-    layer; dinput is None when input_grad is false.  ``out``, if given, is
-    a list of arrays in that order that the gradients are written into, and
-    is returned as grads.
+def mlp_backward(mlp: Mlp, cache, dout: np.ndarray, out, input_grad: bool = True):
+    """Writes the parameter gradients into ``out``, a list of arrays
+    ordered weight, bias, layer by layer, and returns the input gradient,
+    or None when input_grad is false.
 
     ``cache`` is mlp_forward's list of activations, and a hidden layer's
     relu mask comes from its activation: ``act > 0`` equals ``pre > 0`` for
     every pre-activation, since relu keeps the positive values, maps the
     others but NaN to zero, and NaN is not positive either way."""
     last = len(mlp.layers) - 1
-    grads = [None] * (2 * len(mlp.layers)) if out is None else out
     g = dout
     for i in range(last, -1, -1):
         if i < last:
             g = g * (cache[i + 1] > 0.0)
-        grads[2 * i] = np.matmul(g.T, cache[i], out=grads[2 * i])
-        grads[2 * i + 1] = np.add.reduce(g, axis=0, out=grads[2 * i + 1])
+        np.matmul(g.T, cache[i], out=out[2 * i])
+        np.add.reduce(g, axis=0, out=out[2 * i + 1])
         g = g @ mlp.layers[i][0] if i or input_grad else None
-    return g, grads
+    return g
 
 
 @dataclass
@@ -198,18 +196,16 @@ def encode_sketch_batch(model: SketchModel, x: np.ndarray):
     return require_finite(mu, "sketch mu"), require_finite(logvar, "sketch logvar")
 
 
-def sketch_backward(model: SketchModel, cache, dmu: np.ndarray, dlogvar: np.ndarray, out=None):
-    """Gradients for every sketch parameter, ordered like
-    SketchModel.parameters(), written into the arrays of ``out`` when
-    given (see mlp_backward)."""
+def sketch_backward(model: SketchModel, cache, dmu: np.ndarray, dlogvar: np.ndarray, out) -> None:
+    """Writes the gradient of every sketch parameter into ``out``: one
+    list per network, backbone, mu_head and logvar_head (see
+    mlp_backward)."""
     bcache, mcache, vcache, ucache = cache
-    b, m = 2 * len(model.backbone.layers), 2 * (len(model.backbone.layers) + len(model.mu_head.layers))
-    b_out, m_out, v_out = (None, None, None) if out is None else (out[:b], out[b:m], out[m:])
+    b_out, m_out, v_out = out
     dmu, dlogvar = unit_scale_backward(ucache, dmu, dlogvar)
-    dh_mu, mu_grads = mlp_backward(model.mu_head, mcache, dmu, out=m_out)
-    dh_lv, lv_grads = mlp_backward(model.logvar_head, vcache, dlogvar, out=v_out)
-    _, backbone_grads = mlp_backward(model.backbone, bcache, dh_mu + dh_lv, input_grad=False, out=b_out)
-    return backbone_grads + mu_grads + lv_grads
+    dh = mlp_backward(model.mu_head, mcache, dmu, m_out)
+    dh += mlp_backward(model.logvar_head, vcache, dlogvar, v_out)
+    mlp_backward(model.backbone, bcache, dh, b_out, input_grad=False)
 
 
 def _canonical_view_order(views: np.ndarray) -> np.ndarray:
@@ -256,17 +252,13 @@ def encode_shape_batch(model: ShapeModel, views: np.ndarray) -> np.ndarray:
     return require_finite(f, "shape embedding")
 
 
-def shape_backward(model: ShapeModel, cache, df: np.ndarray, out=None):
-    """Gradients for every shape parameter, ordered like
-    ShapeModel.parameters(), written into the arrays of ``out`` when given
-    (see mlp_backward)."""
+def shape_backward(model: ShapeModel, cache, df: np.ndarray, out) -> None:
+    """Writes the gradient of every shape parameter into ``out``: one list
+    per network, backbone and proj (see mlp_backward)."""
     bcache, pcache, n, v = cache
-    b = 2 * len(model.backbone.layers)
-    b_out, p_out = (None, None) if out is None else (out[:b], out[b:])
-    dpooled, proj_grads = mlp_backward(model.proj, pcache, df, out=p_out)
-    dviews = (dpooled / v).repeat(v, axis=0)
-    _, backbone_grads = mlp_backward(model.backbone, bcache, dviews, input_grad=False, out=b_out)
-    return backbone_grads + proj_grads
+    b_out, p_out = out
+    dpooled = mlp_backward(model.proj, pcache, df, p_out)
+    mlp_backward(model.backbone, bcache, (dpooled / v).repeat(v, axis=0), b_out, input_grad=False)
 
 
 def glorot_matrix(rng: Rng, rows: int, cols: int) -> np.ndarray:

@@ -29,26 +29,23 @@ BLOCK_ROWS = 128
 _COLUMN_MULTIPLE = 16
 
 
-def _shape(a: np.ndarray) -> str:
-    return "x".join(str(d) for d in a.shape)
+def _first(values, total: int) -> str:
+    """The first 10 of ``total`` values, then "..." if there are more, so
+    an error message stays short however many values fail."""
+    shown = [str(v) for v in itertools.islice(values, 10)]
+    return "[" + ", ".join(shown + ["..."] * (total > 10)) + "]"
 
 
-def _first(values, total: int, limit: int = 10) -> str:
-    """The first ``limit`` of ``total`` values, then "..." if there are
-    more, so an error message stays short however many values fail."""
-    shown = [str(v) for v in itertools.islice(values, limit)]
-    return "[" + ", ".join(shown + ["..."] * (total > limit)) + "]"
-
-
-def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
+def require_finite(a: np.ndarray, what: str) -> np.ndarray:
     """Raise ValueError if any entry is NaN or infinite."""
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} contains non-finite entries")
     return a
 
 
-def normalize_rows_fwd(m: np.ndarray, eps: float = NORM_EPS):
-    """Divide each row by max(||row||_2, eps); returns (out, norms, full).
+def normalize_rows_fwd(m: np.ndarray):
+    """Divide each row by max(||row||_2, eps), eps = NORM_EPS; returns
+    (out, norms, full).
 
     ``norms`` is the per-row divisor actually used (column vector) and
     ``full`` marks rows that were divided by their true norm rather than by
@@ -62,13 +59,13 @@ def normalize_rows_fwd(m: np.ndarray, eps: float = NORM_EPS):
     u = m / np.where(scale > 0.0, scale, 1.0)
     unorm = np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))
     norms = scale * unorm
-    full = norms >= eps
+    full = norms >= NORM_EPS
     if np.logical_and.reduce(full, axis=None):
         u /= unorm
         return u, norms, full
     out = np.where(full, u, m)
-    out /= np.where(full, unorm, eps)
-    return out, np.where(full, norms, eps), full
+    out /= np.where(full, unorm, NORM_EPS)
+    return out, np.where(full, norms, NORM_EPS), full
 
 
 def normalize_rows_bwd(grad, out, norms, full, into=None):
@@ -105,17 +102,17 @@ def padded_columns(b: np.ndarray) -> np.ndarray:
     return _pad_rows(b, -(-len(b) // _COLUMN_MULTIPLE) * _COLUMN_MULTIPLE).T
 
 
-def l2_normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """Each row divided by max(||row||_2, eps)."""
-    out, _, _ = normalize_rows_fwd(m, eps)
+def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Each row divided by max(||row||_2, NORM_EPS)."""
+    out, _, _ = normalize_rows_fwd(m)
     return out
 
 
-def cosine_matrix(a: np.ndarray, b: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
+def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarities: entry (i, j) = cos(a_i, b_j)."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(f"cosine_matrix dim mismatch: {_shape(a)} vs {_shape(b)}")
-    return l2_normalize_rows(a, eps) @ l2_normalize_rows(b, eps).T
+        raise ValueError(f"cosine_matrix dim mismatch: {a.shape} vs {b.shape}")
+    return l2_normalize_rows(a) @ l2_normalize_rows(b).T
 
 
 def central_difference(f, params, step):
@@ -146,9 +143,10 @@ def grad_check(f, params, step: float = 1e-5) -> float:
     """Compare analytic gradients against central finite differences.
 
     ``f(params)`` must return ``(value, grads)`` with one gradient array per
-    parameter.  Each entry's error is measured against the scale of its
-    array, |a - d| / (max(|a| + |d|) + 1e-12) with the max taken over that
-    array, and the worst error over every entry is returned; raises if the
+    parameter, copied before f is called again (f may reuse its buffers).
+    Each entry's error is measured against the scale of its array,
+    |a - d| / (max(|a| + |d|) + 1e-12) with the max taken over that array,
+    and the worst error over every entry is returned; raises if the
     objective is non-finite anywhere it is evaluated.  (An entry-wise
     relative error is ill-conditioned: an entry near zero makes rounding in
     the finite difference look like a wrong gradient.)
@@ -163,12 +161,12 @@ def grad_check(f, params, step: float = 1e-5) -> float:
         return v
 
     value_only(params)
-    _, analytic = f(params)
+    analytic = [np.array(g) for g in f(params)[1]]
     numeric = central_difference(value_only, params, step)
     worst = 0.0
     for a, d in zip(analytic, numeric):
         if a.shape != d.shape:
-            raise ValueError(f"grad_check: gradient shape {_shape(a)} != parameter shape {_shape(d)}")
+            raise ValueError(f"grad_check: gradient shape {a.shape} != parameter shape {d.shape}")
         if a.size:
             scale = float(np.max(np.abs(a) + np.abs(d)))
             worst = max(worst, float(np.max(np.abs(a - d))) / (scale + 1e-12))

@@ -18,9 +18,9 @@ noise in one block right after the epoch's permutation, with the values
 and the raw stream of one draw per batch.
 
 Each stage's objective is composed once, in ``_sketch_objective`` and
-``_shape_objective``: loss and gradients from prepared encoder inputs.  The
-training steps call them, and ``gradcheck``'s chain checks verify the same
-functions against finite differences.  Each stage checks its features,
+``_shape_objective``: the loss of prepared encoder inputs, its gradients
+written into the gradient vector.  The training steps call them, and
+``gradcheck``'s chain checks verify that vector against finite differences.  Each stage checks its features,
 labels and classifier once per run, then trains with steps that do
 arithmetic only, with stage 2's frozen centers normalised once; a run that
 diverges stops at ``_fit``'s non-finite loss or parameter check.
@@ -28,7 +28,7 @@ diverges stops at ``_fit``'s non-finite loss or parameter check.
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -108,13 +108,13 @@ def _int_tuple(raw: str) -> tuple:
 _PARSERS = {f.name: {tuple: _int_tuple}.get(type(f.default), type(f.default)) for f in fields(TrainConfig)}
 
 
-def load_config(path, base: TrainConfig = None) -> TrainConfig:
+def load_config(path) -> TrainConfig:
     """``key = value`` text file of TrainConfig fields; '#' starts a comment,
     and an unknown or repeated key is an error."""
     entries = _key_values(path, _text_lines(path), _PARSERS, "config", comment="#")
     values = {key: _typed_value(path, entries, key, _PARSERS[key]) for key in entries}
     try:
-        return replace(base, **values) if base is not None else TrainConfig(**values)
+        return TrainConfig(**values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -187,27 +187,31 @@ class TrainReport:
             fh.write("\n".join(self.lines()) + "\n")
 
 
+def _views(flat, arrays) -> list:
+    """Consecutive views of the vector ``flat``, shaped like ``arrays``."""
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    return [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
+
+
 def _flat_parameters(model, classifier: Classifier | None = None):
     """One float64 vector holding every matrix of ``_named_matrices(model,
     classifier)`` in order, with the model's layers (and the classifier's
-    weights) rebound as views of it; returns (params, grads, grad_views):
-    a gradient vector of the same layout and its views, ordered like the
-    matrices."""
+    weights) rebound as views of it; returns (params, grads, out): a
+    gradient vector of the same layout and its views, one list per network
+    field (weight, bias, layer by layer) and one for the classifier."""
     arrays = [a for _, a in _named_matrices(model, classifier)]
     params = np.concatenate([a.ravel() for a in arrays])
     grads = np.empty_like(params)
-    ends = np.cumsum([a.size for a in arrays]).tolist()
-
-    def views(flat):
-        return [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
-
-    rebound = iter(views(params))
+    rebound, grad_views = iter(_views(params, arrays)), iter(_views(grads, arrays))
+    out = []
     for f in fields(model):
         net = getattr(model, f.name)
         net.layers = [(next(rebound), next(rebound)) for _ in net.layers]
+        out.append([next(grad_views) for _ in range(2 * len(net.layers))])
     if classifier is not None:
         classifier.weights = next(rebound)
-    return params, grads, views(grads)
+        out.append([next(grad_views)])
+    return params, grads, out
 
 
 def _fit(stage: str, cfg: TrainConfig, rng: Rng, n: int, params, grads, step, noise_dim: int = 0) -> TrainReport:
@@ -264,29 +268,31 @@ def _inputs(stage: str, samples, cfg, what: str, layout: str):
     return require_finite(x, what), y
 
 
-def _sketch_objective(model, weights, xn, labels, eps, margins: MarginParams, lam: float, out=None):
-    """Stage-1 loss and gradients, ordered like model.parameters() plus the
-    class-center weights: the unit-scale Gaussian of rows through
+def _sketch_objective(model, weights, xn, labels, eps, margins: MarginParams, lam: float, out) -> float:
+    """Stage-1 loss: the unit-scale Gaussian of rows through
     _prepare_sketches, sampled with noise ``eps``, scored by the margin loss
-    plus lam * KL.  The gradients are written into the arrays of ``out``
-    when given."""
+    plus lam * KL.  The gradients are written into ``out``, grouped like
+    _flat_parameters(model, classifier) gives them."""
     mu, logvar, cache = _sketch_forward(model, xn)
     # model.reparameterize without its per-call checks: same expression.
     z = mu + eps * np.exp(0.5 * logvar)
     centers = normalize_rows_fwd(weights)
     loss, dmu, dlogvar, dcos, zb = _uncertainty_core(z, mu, logvar, centers, labels, margins, lam)
-    grads = sketch_backward(model, cache, dmu, dlogvar, None if out is None else out[:-1])
-    return loss, grads + [normalize_rows_bwd(dcos.T @ zb, *centers, into=None if out is None else out[-1])]
+    *net_out, (weights_out,) = out
+    sketch_backward(model, cache, dmu, dlogvar, net_out)
+    normalize_rows_bwd(dcos.T @ zb, *centers, into=weights_out)
+    return loss
 
 
-def _shape_objective(model, centers, views, labels, margins: MarginParams, out=None):
-    """Stage-2 loss and gradients, ordered like model.parameters(): the
-    margin loss of a block through _prepare_views against frozen centers,
-    given as ``normalize_rows_fwd(weights)``.  The gradients are written
-    into the arrays of ``out`` when given."""
+def _shape_objective(model, centers, views, labels, margins: MarginParams, out) -> float:
+    """Stage-2 loss: the margin loss of a block through _prepare_views
+    against frozen centers, given as ``normalize_rows_fwd(weights)``.  The
+    gradients are written into ``out``, grouped like
+    _flat_parameters(model) gives them."""
     f, cache = _shape_forward(model, views)
     loss, df, _, _ = _margin_core(f, centers, labels, margins)
-    return loss, shape_backward(model, cache, df, out)
+    shape_backward(model, cache, df, out)
+    return loss
 
 
 def train_stage1(samples, cfg: TrainConfig, rng: Rng):
@@ -310,7 +316,7 @@ def train_stage1(samples, cfg: TrainConfig, rng: Rng):
     xn = _prepare_sketches(x)
 
     def step(batch, eps):
-        return _sketch_objective(model, classifier.weights, xn[batch], y[batch], eps, margins, cfg.lam, out)[0]
+        return _sketch_objective(model, classifier.weights, xn[batch], y[batch], eps, margins, cfg.lam, out)
 
     report = _fit("stage 1", cfg, rng, len(y), params, grads, step, cfg.embed_dim)
     return model, classifier.freeze(), report
@@ -342,7 +348,7 @@ def train_stage2(samples, classifier: Classifier, cfg: TrainConfig, rng: Rng):
     centers = normalize_rows_fwd(classifier.weights)
 
     def step(batch, _):
-        return _shape_objective(model, centers, views[batch], y[batch], margins, out)[0]
+        return _shape_objective(model, centers, views[batch], y[batch], margins, out)
 
     report = _fit("stage 2", cfg, rng, len(y), params, grads, step)
     if not np.array_equal(weights_before, classifier.weights):

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 
 from sketchshape.data import _POOL_MIN_VALUES, generate, load_dataset, save_dataset
-from sketchshape.metrics import BLOCK_QUERIES, evaluate
+from sketchshape.metrics import evaluate
 from sketchshape.model import encode_shape_batch, init_shape_model
 from sketchshape.ops import BLOCK_ROWS
 from sketchshape.rng import Rng
@@ -74,12 +74,12 @@ def test_shape_load_holds_one_copy_of_the_view_matrix(tmp_path):
 
 def _evaluate_peak(classes: int, count: int = 1000, items: int = 10000) -> float:
     """Traced peak of ``evaluate`` on ``count`` x ``items`` normals (dim 32)
-    with ``classes`` classes, in blocks of BLOCK_QUERIES x G similarities."""
+    with ``classes`` classes, in blocks of BLOCK_ROWS x G similarities."""
     rng = Rng(3)
     queries, gallery = rng.normal_matrix(count, 32), rng.normal_matrix(items, 32)
     query_labels, gallery_labels = np.arange(count) % classes, np.arange(items) % classes
     peak = _traced_peak(lambda: evaluate(queries, gallery, query_labels, gallery_labels))
-    return peak / (BLOCK_QUERIES * len(gallery) * 8)
+    return peak / (BLOCK_ROWS * len(gallery) * 8)
 
 
 def test_evaluate_holds_a_block_its_keys_and_their_sorted_copy():
@@ -104,4 +104,4 @@ def test_evaluate_scores_many_relevant_items_in_arrays():
     level through an items x 11 comparison cast to int64, or turning a
     whole block's precisions and discounts into Python floats, takes it to
     about 10.6.  One block of 128 queries against 2000 items shows it."""
-    assert _evaluate_peak(2, BLOCK_QUERIES, 2000) <= 7.0
+    assert _evaluate_peak(2, BLOCK_ROWS, 2000) <= 7.0

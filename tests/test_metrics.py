@@ -9,7 +9,6 @@ import pytest
 
 from reference import evaluate_bruteforce, rank_bruteforce, six_metrics_bruteforce
 from sketchshape.metrics import (
-    BLOCK_QUERIES,
     RankedList,
     _blocks,
     _relevant_ranks,
@@ -24,6 +23,7 @@ from sketchshape.metrics import (
     write_per_query_csv,
     write_pr_curve,
 )
+from sketchshape.ops import BLOCK_ROWS
 from sketchshape.rng import Rng
 
 
@@ -67,7 +67,7 @@ def _edge_instances():
             [rng.integer(3) for _ in gallery],
         )
     ]
-    for q, g in ((2 * BLOCK_QUERIES + 1, 7), (5, 31), (5, 1)):
+    for q, g in ((2 * BLOCK_ROWS + 1, 7), (5, 31), (5, 1)):
         instances.append(
             (
                 rng.uniform_matrix(q, 3, -1.0, 1.0),
@@ -84,12 +84,12 @@ class TestRank:
         rng = Rng(0)
         gallery = rng.uniform_matrix(6, 5, -1.0, 1.0)
         queries = gallery[2:3].copy()
-        ranked = rank(queries, gallery, [0], [1, 1, 0, 1, 1, 1])
+        ranked = rank(queries, gallery, [0], [1, 1, 0, 1, 1, 1], ["q"], range(6))
         assert ranked[0].gallery_ids[0] == 2
 
     def test_tie_broken_by_lower_gallery_position(self):
         gallery = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])  # rows 0,1 parallel
-        ranked = rank(np.array([[3.0, 0.0]]), gallery, [0], [0, 0, 1])
+        ranked = rank(np.array([[3.0, 0.0]]), gallery, [0], [0, 0, 1], ["q"], range(3))
         assert ranked[0].gallery_ids[:2] == [0, 1]
 
     def test_matches_bruteforce_on_random_case(self):
@@ -99,7 +99,7 @@ class TestRank:
         qlabels = [rng.integer(3) for _ in range(5)]
         glabels = [rng.integer(3) for _ in range(8)]
         for queries, gallery, qlabels, glabels in [(queries, gallery, qlabels, glabels)] + _edge_instances():
-            got = rank(queries, gallery, qlabels, glabels)
+            got = rank(queries, gallery, qlabels, glabels, range(len(queries)), range(len(gallery)))
             want = rank_bruteforce(queries.tolist(), gallery.tolist(), qlabels, glabels)
             assert len(got) == len(want)
             for r, (order, rel) in zip(got, want):
@@ -108,7 +108,7 @@ class TestRank:
 
     def test_empty_gallery_rejected(self):
         with pytest.raises(ValueError, match="gallery"):
-            rank(np.ones((1, 2)), np.zeros((0, 2)), [0], [])
+            rank(np.ones((1, 2)), np.zeros((0, 2)), [0], [], ["q"], [])
 
 
 def _exact_ties_only(query, gallery):
@@ -125,7 +125,7 @@ def _exact_ties_only(query, gallery):
 
 
 def _tie_instance(duplicates):
-    """(queries, gallery, qlabels, glabels): 2 * BLOCK_QUERIES + 1 integer
+    """(queries, gallery, qlabels, glabels): 2 * BLOCK_ROWS + 1 integer
     queries against 300 distinct, pairwise non-parallel, non-negative
     integer gallery rows, among them (1, 0, 0, 0), and one all-zero row.
 
@@ -145,7 +145,7 @@ def _tie_instance(duplicates):
             gallery.append(row)
     gallery.insert(150, [0, 0, 0, 0])
     queries = []
-    while len(queries) < 2 * BLOCK_QUERIES + 1:
+    while len(queries) < 2 * BLOCK_ROWS + 1:
         i = len(queries)
         query = [0 if k == 0 and i % 3 == 0 else 1 + rng.integer(1000) for k in range(4)]
         if i % 17 == 0:
@@ -174,7 +174,7 @@ class TestTiedRows:
     def test_relevant_ranks_follow_the_stable_sort(self, duplicates):
         queries, gallery, qlabels, glabels = _tie_instance(duplicates)
         blocks = list(_blocks(queries, gallery, qlabels, glabels))
-        assert [len(keys) for _, keys, _ in blocks] == [BLOCK_QUERIES, BLOCK_QUERIES, 1]
+        assert [len(keys) for _, keys, _ in blocks] == [BLOCK_ROWS, BLOCK_ROWS, 1]
         tied = np.concatenate([_tied_rows(keys) for _, keys, _ in blocks])
         if duplicates:
             assert tied.all()

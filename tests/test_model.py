@@ -51,6 +51,12 @@ def _encode_one_shape(model, views):
     return f[0]
 
 
+def _fresh_grads(mlp):
+    """Newly allocated gradient arrays for mlp_backward: weight, bias, layer
+    by layer."""
+    return [np.empty_like(a) for layer in mlp.layers for a in layer]
+
+
 class TestMlpForward:
     def test_matches_straight_line_oracle(self):
         rng = Rng(21)
@@ -72,8 +78,9 @@ class TestMlpForward:
         mlp = init_mlp(rng, [5, 7, 4])
         _, cache = mlp_forward(mlp, rng.uniform_matrix(3, 5, -2.0, 2.0))
         dout = rng.uniform_matrix(3, 4, -1.0, 1.0)
-        dinput, grads = mlp_backward(mlp, cache, dout)
-        none, skipped = mlp_backward(mlp, cache, dout, input_grad=False)
+        grads, skipped = _fresh_grads(mlp), _fresh_grads(mlp)
+        dinput = mlp_backward(mlp, cache, dout, grads)
+        none = mlp_backward(mlp, cache, dout, skipped, input_grad=False)
         assert dinput.shape == (3, 5) and none is None
         assert [g.tobytes() for g in skipped] == [g.tobytes() for g in grads]
 
@@ -101,7 +108,8 @@ class TestReluMask:
     EDGES = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324)
 
     def _assert_same_bits(self, mlp, cache, pres, dout):
-        dinput, grads = mlp_backward(mlp, cache, dout)
+        grads = _fresh_grads(mlp)
+        dinput = mlp_backward(mlp, cache, dout, grads)
         want_dinput, want = _backward_from_pre_activations(mlp, cache[0], pres, dout)
         assert dinput.tobytes() == want_dinput.tobytes()
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
@@ -439,9 +447,28 @@ class TestFullChainGradients:
         objective = getattr(gradcheck, name)
 
         def skewed(*args):
-            loss, grads = objective(*args)
-            grads[which] = grads[which] * 1.001
-            return loss, grads
+            loss = objective(*args)
+            grads = [g for group in args[-1] for g in group]
+            grads[which] *= 1.001
+            return loss
 
         monkeypatch.setattr(gradcheck, name, skewed)
         assert check(0) > gradcheck.TOLERANCE
+
+    def test_gradient_written_into_another_parameters_view_fails(self, monkeypatch):
+        """The chain check reads the gradient vector training steps with,
+        not the views the objective was handed: with the mu_head and
+        logvar_head weight views swapped (both 8 x 8 here), each head's
+        weight gradient lands in the other's slot of the vector."""
+        assert check_sketch_chain(0) < gradcheck.TOLERANCE
+        flat_parameters = gradcheck._flat_parameters
+
+        def swapped(model, classifier=None):
+            params, grads, out = flat_parameters(model, classifier)
+            (_, mu_head, logvar_head, _) = out
+            assert mu_head[0].shape == logvar_head[0].shape == (8, 8)
+            mu_head[0], logvar_head[0] = logvar_head[0], mu_head[0]
+            return params, grads, out
+
+        monkeypatch.setattr(gradcheck, "_flat_parameters", swapped)
+        assert check_sketch_chain(0) >= gradcheck.TOLERANCE

@@ -182,13 +182,10 @@ class TestTrainConfig:
         loaded = load_config(path)
         assert loaded == cfg
 
-    def test_config_file_partial_with_base(self, tmp_path):
+    def test_config_file_partial_keeps_defaults(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("lr0 = 0.01\nmax_epochs = 7  # comment\n")
-        loaded = load_config(path, base=easy_cfg())
-        assert loaded.lr0 == 0.01
-        assert loaded.max_epochs == 7
-        assert loaded.hidden == (32, 32)
+        assert load_config(path) == TrainConfig(lr0=0.01, max_epochs=7)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "train.cfg"
@@ -448,6 +445,12 @@ def _reference_fit(cfg, rng, n, params, step):
     return losses
 
 
+def _fresh_grads(mlp):
+    """Newly allocated gradient arrays of one network: weight, bias, layer
+    by layer."""
+    return [np.empty_like(a) for layer in mlp.layers for a in layer]
+
+
 def reference_stage1(samples, cfg, rng):
     """train_stage1 built from the public checked functions alone, with
     the encoder's one-product forward pass checked per step."""
@@ -461,7 +464,9 @@ def reference_stage1(samples, cfg, rng):
         require_finite(logvar, "sketch logvar")
         z = reparameterize(mu, logvar, rng.normal_matrix(len(batch), cfg.embed_dim))
         loss, dmu, dlogvar, dw = uncertainty_loss(z, mu, logvar, classifier, y[batch], cfg.sketch_margins(), cfg.lam)
-        return loss, sketch_backward(model, cache, dmu, dlogvar) + [dw]
+        out = [_fresh_grads(model.backbone), _fresh_grads(model.mu_head), _fresh_grads(model.logvar_head)]
+        sketch_backward(model, cache, dmu, dlogvar, out)
+        return loss, [g for net in out for g in net] + [dw]
 
     losses = _reference_fit(cfg, rng, len(y), model.parameters() + [classifier.weights], step)
     return model, classifier.freeze(), losses
@@ -477,7 +482,9 @@ def reference_stage2(samples, classifier, cfg, rng):
         f, cache = _shape_forward(model, _prepare_views(x[batch]))
         require_finite(f, "shape embedding")
         loss, df, _ = transfer_loss(f, classifier, y[batch], cfg.shape_margins())
-        return loss, shape_backward(model, cache, df)
+        out = [_fresh_grads(model.backbone), _fresh_grads(model.proj)]
+        shape_backward(model, cache, df, out)
+        return loss, [g for net in out for g in net]
 
     return model, _reference_fit(cfg, rng, len(y), model.parameters(), step)
 
