@@ -59,9 +59,8 @@ def cmd_gen_data(args) -> int:
         f"test_per_class = {args.test_per_class}, dim = {args.dim}, views = {args.views}, "
         f"noise_frac = {args.noise_frac}, noise_mode = {args.noise_mode}"
     )
-    rng = Rng(args.seed)
     ds = data_mod.generate(args.classes, args.train_per_class, args.test_per_class, args.dim, args.views,
-                           args.noise_frac, args.noise_mode, rng, seed=args.seed)
+                           args.noise_frac, args.noise_mode, args.seed)
     data_mod.save_dataset(ds, args.out)
     print(f"[gen-data] wrote {len(ds.sketch.ids) + len(ds.shape.ids)} records to {args.out}")
     return 0
@@ -223,7 +222,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

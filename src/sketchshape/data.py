@@ -5,8 +5,9 @@ rejection sampling.  Clean sketches are a prototype plus small isotropic
 noise; "noisy" sketches are either semantically ambiguous (midpoint of two
 prototypes, wider noise) or mislabeled (a clean feature of another class
 under the wrong label).  Shapes are bundles of per-view features around the
-prototype.  The noisy flag is ground truth that real sketch datasets lack
-and lives in its own file so evaluation code cannot read it by accident.
+prototype.  The noisy flag is ground truth that real sketch datasets lack:
+generate sets it, save_dataset writes it to its own file, and no code here
+reads that file back, so evaluation cannot use it by accident.
 
 Files (all ASCII text, floats serialised with repr so round-trips are
 bitwise; a non-ASCII byte is an error naming the file and the line):
@@ -14,7 +15,7 @@ bitwise; a non-ASCII byte is an error naming the file and the line):
   sketches.csv   id,label,split,modality,v0..v{dim-1}, one row per sketch
   shapes.csv     same header, one row per view, view rows share a common id
                  prefix with a ".vNN" suffix
-  noisy.csv      id,noisy for every sketch; only the full load_dataset reads it
+  noisy.csv      id,noisy for every sketch; written, never read
 
 A feature file (the two above, and the embedding files) is held in memory
 as five columns, from parse to write: ids, labels (int64), splits and
@@ -71,7 +72,8 @@ _POOL_MIN_VALUES = 1 << 18
 
 class Samples(NamedTuple):
     """One modality's samples as columns; features are N x dim for sketches
-    and N x views x dim for shapes, noisy is None where noisy.csv was not read."""
+    and N x views x dim for shapes; noisy holds generate's flags and is None
+    in loaded samples."""
 
     ids: list
     labels: np.ndarray
@@ -158,13 +160,12 @@ def _other_class(label: int, classes: int, rng: Rng) -> int:
 
 def generate(
     classes: int, train_per_class: int, test_per_class: int, dim: int, views: int, noise_frac: float,
-    noise_mode: str, rng: Rng, seed: int = 0,
+    noise_mode: str, seed: int,
 ) -> Dataset:
-    """Build the synthetic benchmark; both modalities use the same per-class
-    train/test counts.  noise_frac of the sketches in each class and split
-    (rounded up) are flagged noisy; shapes are always clean.  ``seed`` is
-    recorded in the manifest and should match the seed used to build rng.
-    """
+    """Build the synthetic benchmark from ``Rng(seed)``, and record the seed
+    in the manifest; both modalities use the same per-class train/test
+    counts.  noise_frac of the sketches in each class and split (rounded up)
+    are flagged noisy; shapes are always clean."""
     if classes < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
     if not 0.0 <= noise_frac <= 1.0:
@@ -174,6 +175,7 @@ def generate(
     if train_per_class < 1 or test_per_class < 1 or views < 1 or dim < 2:
         raise ValueError("train_per_class, test_per_class and views must be >= 1 and dim >= 2")
 
+    rng = Rng(seed)
     protos = _class_prototypes(classes, dim, rng)
     per_split = (("train", train_per_class), ("test", test_per_class))
     names = [f"{split}_{index:04d}" for split, per_class in per_split for index in range(classes * per_class)]
@@ -402,14 +404,13 @@ def _read_lines(path, block, dim, columns) -> None:
 
 
 def save_dataset(ds: Dataset, outdir) -> None:
-    """Write the four dataset files of a full dataset: one with both
-    modalities and every sketch's noisy flag read.  A partial dataset (a
-    single-modality load_dataset) raises ValueError before any file is
-    opened."""
+    """Write the four dataset files of a dataset generate built: both
+    modalities and every sketch's noisy flag.  A partial dataset (any
+    load_dataset) raises ValueError before any file is opened."""
     sketch, shape, m = ds.sketch, ds.shape, ds.manifest
     missing = [f"{kind} records" for kind, samples in (("sketch", sketch), ("shape", shape)) if samples is None]
     if sketch is not None and sketch.noisy is None:
-        missing.append("the noisy flags of the sketches (noisy.csv was not read)")
+        missing.append("the noisy flags of the sketches")
     if missing:
         raise ValueError(f"cannot save a partial dataset: it lacks {' and '.join(missing)}")
     outdir = Path(outdir)
@@ -452,26 +453,6 @@ def load_manifest(path) -> Manifest:
         noise_mode=_typed_value(path, entries, "noise_mode", _noise_mode),
         seed=_typed_value(path, entries, "seed", int),
     )
-
-
-def _read_noisy(path) -> dict:
-    """noisy.csv's flag of each id, each id once and each flag 0 or 1; an unlisted sketch is clean."""
-    noisy = {}
-    lines = _text_lines(path)
-    header = next(lines, (1, ""))[1].rstrip("\n")
-    if header != "id,noisy":
-        raise ValueError(f"{path}: unrecognised header {header!r}")
-    for lineno, line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2 or parts[1] not in ("0", "1"):
-            raise ValueError(f"{path} line {lineno}: expected id,0 or id,1, got {line!r}")
-        if parts[0] in noisy:
-            raise ValueError(f"{path} line {lineno}: id {parts[0]} is listed again")
-        noisy[parts[0]] = parts[1] == "1"
-    return noisy
 
 
 def _read_rows(path, manifest: Manifest, modality: str):
@@ -531,33 +512,25 @@ def _load_shapes(indir: Path, manifest: Manifest) -> Samples:
     rows = order.reshape(len(bases), views)
     in_order = np.array_equal(order, np.arange(order.size))
     block = matrix.reshape(*rows.shape, matrix.shape[1]) if in_order else matrix[rows]
-    return Samples(bases, shape_labels, shape_splits, block, np.zeros(len(bases), dtype=bool))
+    return Samples(bases, shape_labels, shape_splits, block, None)
 
 
-def load_dataset(indir, modality=None) -> Dataset:
-    """Read ``manifest.txt`` and the files of one modality: ``"sketch"``
-    reads ``sketches.csv``, ``"shape"`` reads ``shapes.csv`` and None
-    reads both and ``noisy.csv``, whose flags only this full load joins
-    (a sketch-only load leaves them None).  The manifest's counts are
-    checked against the splits column of each modality read."""
-    if modality not in (None, "sketch", "shape"):
-        raise ValueError(f"modality must be 'sketch', 'shape' or None, got {modality!r}")
+def load_dataset(indir, modality: str) -> Dataset:
+    """Read ``manifest.txt`` and the feature file of one modality:
+    ``"sketch"`` reads ``sketches.csv`` and ``"shape"`` reads ``shapes.csv``.
+    No load reads ``noisy.csv``, so the samples' noisy column is None.  The
+    manifest's counts of the modality are checked against its splits column."""
+    if modality not in ("sketch", "shape"):
+        raise ValueError(f"modality must be 'sketch' or 'shape', got {modality!r}")
     indir = Path(indir)
     ds = Dataset(load_manifest(indir / "manifest.txt"))
-    if modality in (None, "sketch"):
-        noisy = _read_noisy(indir / "noisy.csv") if modality is None else None
-        ids, labels, splits, matrix = _read_rows(indir / "sketches.csv", ds.manifest, "sketch")
-        flags = None if noisy is None else np.array([noisy.get(i, False) for i in ids], dtype=bool)
-        ds.sketch = Samples(ids, labels, splits, matrix, flags)
-    if modality in (None, "shape"):
-        ds.shape = _load_shapes(indir, ds.manifest)
+    if modality == "sketch":
+        samples = ds.sketch = Samples(*_read_rows(indir / "sketches.csv", ds.manifest, "sketch"), None)
+    else:
+        samples = ds.shape = _load_shapes(indir, ds.manifest)
     for key, expected in ds.manifest.counts.items():
         kind, _, split = key.partition("_")
-        if modality not in (None, kind):
-            continue
-        samples = {"sketch": ds.sketch, "shape": ds.shape}.get(kind)
-        actual = 0 if samples is None else samples.splits.count(split)
-        if actual != expected:
+        if kind == modality and (actual := samples.splits.count(split)) != expected:
             raise ValueError(f"{indir / 'manifest.txt'}: manifest count {key} = {expected} but found {actual} records")
     return ds
 

@@ -152,6 +152,6 @@ ALL_CHECKS = {
 }
 
 
-def run_all(seed: int = 0) -> dict:
+def run_all(seed: int) -> dict:
     """Worst finite-difference relative error per check, keyed by name."""
     return {name: fn(seed) for name, fn in ALL_CHECKS.items()}

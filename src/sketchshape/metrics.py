@@ -153,6 +153,8 @@ def rank(queries, gallery, query_labels, gallery_labels, query_ids, gallery_ids)
     (['b', 'a'], [1, 0])
     """
     query_ids = _ids(query_ids, len(queries))
+    if len(gallery_ids) != len(gallery):
+        raise ValueError(f"gallery_ids has {len(gallery_ids)} entries for {len(gallery)} gallery items")
     ranked = []
     for start, keys, rel in _blocks(queries, gallery, query_labels, gallery_labels):
         order = np.argsort(keys, axis=1, kind="stable")

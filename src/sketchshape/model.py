@@ -108,17 +108,11 @@ class SketchModel:
     mu_head: Mlp
     logvar_head: Mlp
 
-    def parameters(self) -> list:
-        return [a for _, a in _named_matrices(self)]
-
 
 @dataclass
 class ShapeModel:
     backbone: Mlp
     proj: Mlp
-
-    def parameters(self) -> list:
-        return [a for _, a in _named_matrices(self)]
 
 
 def reparameterize(mu, logvar, eps):

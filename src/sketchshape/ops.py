@@ -27,6 +27,7 @@ import numpy as np
 NORM_EPS = 1e-12
 BLOCK_ROWS = 128
 _COLUMN_MULTIPLE = 16
+_FD_STEP = 1e-5
 
 
 def _first(values, total: int) -> str:
@@ -139,7 +140,7 @@ def central_difference(f, params, step):
     return grads
 
 
-def grad_check(f, params, step: float = 1e-5) -> float:
+def grad_check(f, params) -> float:
     """Compare analytic gradients against central finite differences.
 
     ``f(params)`` must return ``(value, grads)`` with one gradient array per
@@ -151,9 +152,6 @@ def grad_check(f, params, step: float = 1e-5) -> float:
     relative error is ill-conditioned: an entry near zero makes rounding in
     the finite difference look like a wrong gradient.)
     """
-    if step <= 0.0:
-        raise ValueError(f"grad_check needs step > 0, got {step}")
-
     def value_only(ps):
         v = float(f(ps)[0])
         if not np.isfinite(v):
@@ -162,7 +160,7 @@ def grad_check(f, params, step: float = 1e-5) -> float:
 
     value_only(params)
     analytic = [np.array(g) for g in f(params)[1]]
-    numeric = central_difference(value_only, params, step)
+    numeric = central_difference(value_only, params, _FD_STEP)
     worst = 0.0
     for a, d in zip(analytic, numeric):
         if a.shape != d.shape:

@@ -61,7 +61,7 @@ class Rng:
         each, divided by 2^53."""
         return (self._raw_block(n) >> np.uint64(11)).astype(np.float64) * _INV53
 
-    def uniform_matrix(self, rows: int, cols: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+    def uniform_matrix(self, rows: int, cols: int, low: float, high: float) -> np.ndarray:
         """Row-major (rows x cols) matrix of low + (high - low) * uniform."""
         u = self.uniform_block(rows * cols).reshape(rows, cols)
         return low + (high - low) * u

@@ -51,7 +51,7 @@ def bench_config(seed, lam=0.005, noise_frac=0.2):
 
 
 def _bench_dataset(seed, noise_frac):
-    return generate(10, 50, 30, 16, 12, noise_frac, "ambiguous", Rng(seed), seed=seed)
+    return generate(10, 50, 30, 16, 12, noise_frac, "ambiguous", seed)
 
 
 def _sigma_scores(model, sketches):

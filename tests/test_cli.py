@@ -384,10 +384,10 @@ class TestCheckpointRoundTrip:
 
 class TestGenData:
     def test_writes_dataset(self, pipeline):
-        ds = load_dataset(pipeline["data"])
-        assert len(ds.sketches("train").ids) == 36
-        assert len(ds.shapes("test").ids) == 18
-        assert ds.manifest.seed == 5
+        sketches, shapes = (load_dataset(pipeline["data"], kind) for kind in ("sketch", "shape"))
+        assert len(sketches.sketches("train").ids) == 36
+        assert len(shapes.shapes("test").ids) == 18
+        assert sketches.manifest.seed == 5
 
     def test_prints_seed(self, tmp_path, capsys):
         assert main(["gen-data", "--out", str(tmp_path / "d"), "--classes", "2", "--train-per-class", "2", "--test-per-class", "1", "--dim", "8", "--views", "1", "--seed", "9"]) == 0
@@ -413,8 +413,7 @@ class TestPipeline:
 
     def test_embed_matches_library_encode(self, pipeline):
         _, model, _ = load_checkpoint(pipeline["run"] / "sketch.ckpt", "sketch")
-        ds = load_dataset(pipeline["data"])
-        sketches = ds.sketches("test")
+        sketches = load_dataset(pipeline["data"], "sketch").sketches("test")
         ids, _, _, _, matrix = load_embeddings(pipeline["queries"])
         assert ids == sketches.ids
         mu, _ = encode_sketch_batch(model, sketches.features[:1])

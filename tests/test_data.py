@@ -25,7 +25,7 @@ from sketchshape.rng import Rng
 
 
 def small_dataset(seed=0, noise_frac=0.0, mode="ambiguous", classes=3, train=10, test=4, dim=8, views=3):
-    return generate(classes, train, test, dim, views, noise_frac, mode, Rng(seed), seed=seed)
+    return generate(classes, train, test, dim, views, noise_frac, mode, seed)
 
 
 def assert_same_samples(got, want):
@@ -43,7 +43,7 @@ def assert_same_samples(got, want):
 
 class TestGenerate:
     def test_published_benchmark_counts(self):
-        ds = generate(3, 50, 30, 8, 3, 0.0, "ambiguous", Rng(1), seed=1)
+        ds = generate(3, 50, 30, 8, 3, 0.0, "ambiguous", 1)
         assert len(ds.sketches("train").ids) == 150
         assert len(ds.sketches("test").ids) == 90
         assert len(ds.shapes("train").ids) == 150
@@ -75,7 +75,7 @@ class TestGenerate:
         assert_same_samples(a.shape, b.shape)
 
     def test_intra_class_cosine_beats_inter_class(self):
-        ds = generate(5, 30, 5, 16, 2, 0.0, "ambiguous", Rng(5), seed=5)
+        ds = generate(5, 30, 5, 16, 2, 0.0, "ambiguous", 5)
         sketches = ds.sketches("train")
         feats, labels = sketches.features, sketches.labels
         cos = cosine_matrix(feats, feats)
@@ -97,27 +97,30 @@ class TestGenerate:
 
     def test_prototype_constraint_failure_suggests_larger_dim(self):
         with pytest.raises(ValueError, match="increase the feature dimension"):
-            generate(40, 2, 1, 2, 1, 0.0, "ambiguous", Rng(0))
+            generate(40, 2, 1, 2, 1, 0.0, "ambiguous", 0)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="noise_frac"):
             small_dataset(noise_frac=1.5)
         with pytest.raises(ValueError, match="noise_mode"):
-            generate(3, 5, 2, 8, 2, 0.0, "bogus", Rng(0))
+            generate(3, 5, 2, 8, 2, 0.0, "bogus", 0)
         with pytest.raises(ValueError, match="classes"):
-            generate(1, 5, 2, 8, 2, 0.0, "ambiguous", Rng(0))
+            generate(1, 5, 2, 8, 2, 0.0, "ambiguous", 0)
 
 
 class TestDatasetFiles:
     def test_round_trip_is_lossless(self, tmp_path):
-        """Both modalities' columns load back bitwise equal to generate's."""
+        """Both modalities' columns load back bitwise equal to generate's,
+        without the noisy flags, which go to noisy.csv alone."""
         ds = small_dataset(seed=7, noise_frac=0.3)
         save_dataset(ds, tmp_path)
-        loaded = load_dataset(tmp_path)
-        assert loaded.manifest == ds.manifest
+        for modality in ("sketch", "shape"):
+            loaded = load_dataset(tmp_path, modality)
+            assert loaded.manifest == ds.manifest
+            assert_same_samples(getattr(loaded, modality), getattr(ds, modality)._replace(noisy=None))
         assert ds.sketch.noisy.any()
-        assert_same_samples(loaded.sketch, ds.sketch)
-        assert_same_samples(loaded.shape, ds.shape)
+        flags = "".join(f"{i},{int(f)}\n" for i, f in zip(ds.sketch.ids, ds.sketch.noisy.tolist()))
+        assert (tmp_path / "noisy.csv").read_text() == "id,noisy\n" + flags
 
     def test_same_seed_identical_files(self, tmp_path):
         for sub in ("a", "b"):
@@ -191,29 +194,29 @@ class TestDatasetFiles:
         lines = manifest.read_text().splitlines()
         manifest.write_text("\n".join(l for l in lines if not l.startswith("classes")) + "\n")
         with pytest.raises(ValueError, match=r"manifest.txt: missing key 'classes'"):
-            load_dataset(tmp_path)
+            load_dataset(tmp_path, "sketch")
 
     def test_manifest_bad_value_reports_line(self, tmp_path):
         save_dataset(small_dataset(seed=9), tmp_path)
         manifest = tmp_path / "manifest.txt"
         manifest.write_text(manifest.read_text().replace("views = 3", "views = three"))
         with pytest.raises(ValueError, match=r"manifest.txt line 4: views"):
-            load_dataset(tmp_path)
+            load_dataset(tmp_path, "shape")
 
     def test_manifest_repeated_key_names_both_lines(self, tmp_path):
         save_dataset(small_dataset(seed=9), tmp_path)
         manifest = tmp_path / "manifest.txt"
         manifest.write_text(manifest.read_text() + "classes = 2\n")
         with pytest.raises(ValueError, match=r"manifest.txt line 12: key 'classes' repeats line 2"):
-            load_dataset(tmp_path)
+            load_dataset(tmp_path, "sketch")
 
     def test_manifest_count_mismatch_detected(self, tmp_path):
-        ds = small_dataset(seed=9)
-        save_dataset(ds, tmp_path)
-        sketches = (tmp_path / "sketches.csv").read_text().splitlines()
-        (tmp_path / "sketches.csv").write_text("\n".join(sketches[:-1]) + "\n")
-        with pytest.raises(ValueError, match="manifest count"):
-            load_dataset(tmp_path)
+        """The last shape's view rows removed: one test shape short."""
+        save_dataset(small_dataset(seed=9), tmp_path)
+        shapes = (tmp_path / "shapes.csv").read_text().splitlines()
+        (tmp_path / "shapes.csv").write_text("\n".join(shapes[:-3]) + "\n")
+        with pytest.raises(ValueError, match="manifest count shape_test = 12 but found 11 records"):
+            load_dataset(tmp_path, "shape")
 
     def test_sketch_load_checks_manifest_count(self, tmp_path):
         save_dataset(small_dataset(seed=9), tmp_path)
@@ -225,15 +228,13 @@ class TestDatasetFiles:
     @pytest.mark.parametrize("modality, skipped", [("sketch", ["shapes.csv", "noisy.csv"]),
                                                    ("shape", ["sketches.csv", "noisy.csv"])])
     def test_one_modality_reads_only_its_files(self, tmp_path, modality, skipped):
-        """Only the full load reads noisy.csv: a sketch-only load leaves
-        every flag None (not read); shapes are always clean."""
+        """No load reads noisy.csv, so every loaded flag column is None."""
         ds = small_dataset(seed=9, noise_frac=0.3)
         save_dataset(ds, tmp_path)
         for name in skipped:
             (tmp_path / name).unlink()
         loaded = load_dataset(tmp_path, modality)
-        want = getattr(ds, modality)
-        assert_same_samples(getattr(loaded, modality), want._replace(noisy=None) if modality == "sketch" else want)
+        assert_same_samples(getattr(loaded, modality), getattr(ds, modality)._replace(noisy=None))
         assert getattr(loaded, "shape" if modality == "sketch" else "sketch") is None
 
     @pytest.mark.parametrize(
@@ -260,7 +261,7 @@ class TestDatasetFiles:
         lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
         (tmp_path / name).write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=pattern):
-            load_dataset(tmp_path)
+            load_dataset(tmp_path, "sketch" if name == "sketches.csv" else "shape")
 
     @pytest.mark.parametrize(
         "line, edit, pattern",
@@ -282,7 +283,7 @@ class TestDatasetFiles:
         lines[line - 1 : line] = edit(lines[line - 1])
         (tmp_path / "shapes.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=pattern):
-            load_dataset(tmp_path)
+            load_dataset(tmp_path, "shape")
 
     def test_shuffled_view_rows_load_to_the_same_records(self, tmp_path):
         save_dataset(small_dataset(seed=15, views=4), tmp_path / "a")
@@ -295,27 +296,26 @@ class TestDatasetFiles:
         assert sorted(b.ids) == sorted(a.ids) and b.ids != a.ids
         position = {sample_id: i for i, sample_id in enumerate(b.ids)}
         assert_same_samples(b.take(np.array([position[i] for i in a.ids])), a)
-        assert a.features.shape[1:] == (4, 8) and not a.noisy.any()
+        assert a.features.shape[1:] == (4, 8) and a.noisy is None
         # The shuffled file's splits are interleaved, so a split is a copy.
         for split in ("train", "test"):
             rows = np.flatnonzero(np.array(b.splits) == split)
             assert (np.diff(rows) != 1).any()
             got = shuffled.subset("shape", split)
             assert_same_samples(got, b.take(rows))
-            assert not any(np.shares_memory(getattr(got, name), getattr(b, name))
-                           for name in ("labels", "features", "noisy"))
+            assert not any(np.shares_memory(getattr(got, name), getattr(b, name)) for name in ("labels", "features"))
 
     def test_contiguous_split_is_a_view_of_the_loaded_columns(self, tmp_path):
         save_dataset(small_dataset(seed=9, noise_frac=0.3), tmp_path)
-        ds = load_dataset(tmp_path)
         for modality in ("sketch", "shape"):
+            ds = load_dataset(tmp_path, modality)
             samples = getattr(ds, modality)
             for split in ("train", "test"):
                 rows = np.flatnonzero(np.array(samples.splits) == split)
                 assert rows.tolist() == list(range(rows[0], rows[-1] + 1))
                 got = ds.subset(modality, split)
                 assert_same_samples(got, samples.take(rows))
-                for name in ("labels", "features", "noisy"):
+                for name in ("labels", "features"):
                     assert np.shares_memory(getattr(got, name), getattr(samples, name)), (modality, split, name)
 
     def test_unknown_modality_rejected(self, tmp_path):
@@ -332,23 +332,6 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=r"cannot save a partial dataset: it " + missing):
             save_dataset(partial, tmp_path / "copy")
         assert not (tmp_path / "copy").exists()
-
-    @pytest.mark.parametrize(
-        "line, text, pattern",
-        [
-            (2, "sketch_train_0000,yes", r"noisy.csv line 2: expected id,0 or id,1, got 'sketch_train_0000,yes'$"),
-            (3, "sketch_train_0001,2", r"noisy.csv line 3: expected id,0 or id,1, got 'sketch_train_0001,2'$"),
-            (4, "sketch_train_0000,1", r"noisy.csv line 4: id sketch_train_0000 is listed again$"),
-        ],
-        ids=["yes", "two", "repeated-id"],
-    )
-    def test_malformed_noisy_flag_rejected(self, tmp_path, line, text, pattern):
-        save_dataset(small_dataset(seed=9, noise_frac=0.3), tmp_path)
-        lines = (tmp_path / "noisy.csv").read_text().splitlines()
-        lines[line - 1] = text
-        (tmp_path / "noisy.csv").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=pattern):
-            load_dataset(tmp_path)
 
 
 class TestEmbeddingFiles:
@@ -532,6 +515,11 @@ def _refuse(*args, **kwargs):
 @example(dim=1, rows=1, edits=[(0, 4, "")])  # np.loadtxt warns on a block with no values
 @example(dim=2, rows=2 * _BLOCK_ROWS + 1, edits=[(_BLOCK_ROWS, 1, "9223372036854775808")])
 @example(dim=2, rows=2 * _BLOCK_ROWS + 1, edits=[(2 * _BLOCK_ROWS, 5, "1\x1c"), (_BLOCK_ROWS + 1, 4, "nan")])
+# numpy strips each of \x1c-\x1f around a number, which float() rejects.
+@example(dim=2, rows=2, edits=[(1, 4, "\x1c2.0")])
+@example(dim=2, rows=2, edits=[(1, 5, "2.0\x1d")])
+@example(dim=2, rows=2, edits=[(1, 4, "2\x1e")])
+@example(dim=2, rows=2, edits=[(1, 5, "\x1f2")])
 @pytest.mark.filterwarnings("error")
 def test_block_reader_matches_line_loop(tmp_path_factory, dim, rows, edits):
     """The block reader gives the per-line loop's columns bitwise, or its

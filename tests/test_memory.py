@@ -54,7 +54,7 @@ def test_save_dataset_formats_one_block_of_view_rows_at_a_time(tmp_path):
     labels and splits into lists first takes it to about 0.89.  The
     dataset is below the pool's size floor, so the write runs in this
     process, where tracemalloc sees it."""
-    ds = generate(10, 10, 10, 64, 12, 0.2, "ambiguous", Rng(1), seed=1)
+    ds = generate(10, 10, 10, 64, 12, 0.2, "ambiguous", 1)
     assert ds.shape.features.size < _POOL_MIN_VALUES
     feature_bytes = ds.sketch.features.nbytes + ds.shape.features.nbytes
     assert _traced_peak(lambda: save_dataset(ds, tmp_path)) <= 0.8 * feature_bytes
@@ -65,7 +65,7 @@ def test_shape_load_holds_one_copy_of_the_view_matrix(tmp_path):
     matrix: about 1.55 times the view bytes, the rest being ids and
     per-row bookkeeping.  Gathering a second copy of the block takes it
     to about 2.5."""
-    ds = generate(10, 30, 30, 64, 12, 0.0, "ambiguous", Rng(1), seed=1)
+    ds = generate(10, 30, 30, 64, 12, 0.0, "ambiguous", 1)
     save_dataset(ds, tmp_path)
     view_bytes = ds.shape.features.nbytes
     del ds

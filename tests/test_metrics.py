@@ -110,6 +110,11 @@ class TestRank:
         with pytest.raises(ValueError, match="gallery"):
             rank(np.ones((1, 2)), np.zeros((0, 2)), [0], [], ["q"], [])
 
+    @pytest.mark.parametrize("gallery_ids, count", [(["x"], 1), (["x", "y", "z", "w"], 4)], ids=["short", "long"])
+    def test_gallery_ids_length_checked(self, gallery_ids, count):
+        with pytest.raises(ValueError, match=rf"^gallery_ids has {count} entries for 3 gallery items$"):
+            rank(np.eye(2), np.eye(3)[:, :2], [0, 1], [0, 1, 0], ["a", "b"], gallery_ids)
+
 
 def _exact_ties_only(query, gallery):
     """Whether the query's nonzero cosines to the gallery rows are pairwise

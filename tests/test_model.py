@@ -12,6 +12,7 @@ from sketchshape.gradcheck import check_shape_chain, check_sketch_chain
 from sketchshape.losses import Classifier
 from sketchshape.model import (
     _canonical_view_order,
+    _named_matrices,
     Mlp,
     encode_shape_batch,
     encode_sketch_batch,
@@ -31,6 +32,11 @@ from sketchshape.model import (
 from sketchshape.ops import l2_normalize_rows
 from sketchshape.rng import Rng
 from sketchshape.train import TrainConfig
+
+
+def _parameters(model) -> list:
+    """The model's matrices in checkpoint order."""
+    return [a for _, a in _named_matrices(model)]
 
 
 def _tiny_cfg(**overrides):
@@ -361,7 +367,7 @@ class TestInit:
         def draw(seed):
             rng = Rng(seed)
             sketch, classifier, shape = init_sketch_model(cfg, rng), init_classifier(cfg, rng), init_shape_model(cfg, rng)
-            return sketch.parameters() + [classifier.weights] + shape.parameters()
+            return _parameters(sketch) + [classifier.weights] + _parameters(shape)
 
         for pa, pb in zip(draw(77), draw(77)):
             np.testing.assert_array_equal(pa, pb)
@@ -398,7 +404,7 @@ class TestCheckpoints:
         path = tmp_path / "sketch.ckpt"
         save_sketch_checkpoint(path, model, classifier)
         _, loaded, loaded_classifier = load_checkpoint(path, "sketch")
-        for pa, pb in zip(model.parameters(), loaded.parameters()):
+        for pa, pb in zip(_parameters(model), _parameters(loaded)):
             np.testing.assert_array_equal(pa, pb)
         np.testing.assert_array_equal(classifier.weights, loaded_classifier.weights)
         assert loaded_classifier.frozen
@@ -409,7 +415,7 @@ class TestCheckpoints:
         save_shape_checkpoint(path, model)
         kind, loaded, classifier = load_checkpoint(path)
         assert kind == "shape" and classifier is None
-        for pa, pb in zip(model.parameters(), loaded.parameters()):
+        for pa, pb in zip(_parameters(model), _parameters(loaded)):
             np.testing.assert_array_equal(pa, pb)
 
     def test_wrong_kind_rejected(self, tmp_path):

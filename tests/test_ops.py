@@ -183,10 +183,6 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="non-finite"):
             ops.grad_check(f, [np.ones((1, 1))])
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError, match="step"):
-            ops.grad_check(lambda ps: (0.0, [np.zeros((1, 1))]), [np.zeros((1, 1))], step=0.0)
-
     def test_reused_gradient_buffer_gets_the_error_of_a_fresh_one(self):
         """An objective that writes its gradient into one buffer on every
         call, as the training objectives do, is checked on the gradient of
