@@ -120,7 +120,7 @@ def cmd_eval(args) -> int:
     qids, qlabels, _, _, queries = data_mod.load_embeddings(args.queries)
     _, glabels, _, _, gallery = data_mod.load_embeddings(args.gallery)
     if queries.shape[1] != gallery.shape[1]:
-        raise ValueError(f"query dim {queries.shape[1]} != gallery dim {gallery.shape[1]}")
+        raise ValueError(f"{args.queries} has dim {queries.shape[1]} but {args.gallery} has dim {gallery.shape[1]}")
     report = metrics_mod.evaluate(queries, gallery, qlabels, glabels, qids)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -227,7 +227,7 @@ def main(argv) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        return exc.code
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)

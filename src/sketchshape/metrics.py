@@ -129,9 +129,10 @@ def _blocks(queries, gallery, query_labels, gallery_labels):
         yield start, keys, gallery_labels == query_labels[start:stop, None]
 
 
-def _relevant_ranks(keys, rel) -> list:
-    """Per row of a block from ``_blocks``, the ascending 0-based ranks of
-    its relevant items, ties ranked by gallery position."""
+def _relevant_ranks(keys, rel):
+    """(col, totals) for a block from ``_blocks``: ``totals[i]`` is the
+    number of row i's relevant items, and ``col`` holds their ascending
+    0-based ranks, row by row, ties ranked by gallery position."""
     ordered = np.sort(keys, axis=1)
     tied = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1).tolist()
     ranks = []
@@ -140,7 +141,7 @@ def _relevant_ranks(keys, rel) -> list:
             ranks.append(np.flatnonzero(row_rel[np.argsort(row_keys, kind="stable")]))
         else:
             ranks.append(np.searchsorted(row_sorted, np.sort(row_keys[row_rel])))
-    return ranks
+    return np.concatenate(ranks), np.array([r.size for r in ranks], dtype=np.int64)
 
 
 def rank(queries, gallery, query_labels, gallery_labels, query_ids, gallery_ids):
@@ -169,11 +170,19 @@ def _discounts(size: int) -> np.ndarray:
     return np.array([1.0] + [1.0 / math.log2(k) for k in range(2, size + 1)])
 
 
-def _score_block(ranks, discounts):
-    """Six metrics and 11-point interpolated precisions for every query of
-    a block, given as the ascending 0-based ranks of its relevant items (at
-    least one per query) in a gallery of ``discounts.size`` items, with
-    ``discounts`` from ``_discounts`` of that size.
+def _levels_below(totals):
+    """Per query of R = ``totals`` relevant items, how many recalls j / R
+    (j >= 1) lie below each level i / 10: max(ceil(i R / 10) - 1, 0).  Float
+    recalls agree, since unequal j / R and i / 10 differ by at least
+    1 / (10 R) and equal ones round alike."""
+    return np.maximum((np.arange(len(PR_RECALL_LEVELS)) * totals[:, None] - 1) // 10, 0)
+
+
+def _score_block(col, totals, discounts):
+    """Six metrics and 11-point interpolated precisions for the queries of
+    a block, given by ``_relevant_ranks``' (col, totals) of the queries
+    with at least one relevant item in a gallery of ``discounts.size``
+    items, with ``discounts`` from ``_discounts`` of that size.
 
     Returns a list with one (nn, ft, st, e, dcg, ap) tuple of floats per
     query and a queries x 11 array of interpolated precisions.  The j-th of
@@ -182,15 +191,10 @@ def _score_block(ranks, discounts):
     decide every metric.
     """
     size = discounts.size
-    if not ranks:
-        return [], np.empty((0, len(PR_RECALL_LEVELS)))
-    totals = np.array([r.size for r in ranks], dtype=np.int64)
-    col = np.concatenate(ranks)  # relevant items' ranks, query by query
     row = np.repeat(np.arange(totals.size), totals)
     first = np.cumsum(totals) - totals  # each row's first entry in row / col
     nth = np.arange(1, col.size + 1) - first[row]
     precision = nth / (col + 1)
-    recall = nth / totals[row]
 
     def found(within):
         """Relevant items per query ranked within the top ``within``."""
@@ -207,14 +211,10 @@ def _score_block(ranks, discounts):
 
     # Interpolated precision at a recall level is the largest precision from
     # the first relevant item whose recall reaches the level to the row's
-    # last one; ``below`` counts the items before it, by binary search in
-    # the row's ascending recalls.  One reduceat takes the maximum over
-    # every (start, end) pair; the results between pairs are dropped, and
-    # the appended 0.0 keeps the last end a valid index.
-    levels = np.array(PR_RECALL_LEVELS)
-    below = np.array([np.searchsorted(recall[a : a + total], levels)
-                      for a, total in zip(first.tolist(), totals.tolist())])
-    starts = first[:, None] + below
+    # last one.  One reduceat takes the maximum over every (start, end) pair;
+    # the results between pairs are dropped, and the appended 0.0 keeps the
+    # last end a valid index.
+    starts = first[:, None] + _levels_below(totals)
     ends = np.broadcast_to((first + totals)[:, None], starts.shape)
     bounds = np.stack([starts, ends], axis=-1).ravel()
     pr = np.maximum.reduceat(np.append(precision, 0.0), bounds)[::2].reshape(starts.shape)
@@ -238,7 +238,7 @@ def _score_one(r: RankedList):
     relevant = np.flatnonzero(r.relevance)
     if not relevant.size:
         raise ValueError(f"query {r.query_id}: no relevant gallery items, metrics undefined")
-    [metrics], pr = _score_block([relevant], _discounts(len(r.relevance)))
+    [metrics], pr = _score_block(relevant, np.array([relevant.size]), _discounts(len(r.relevance)))
     return metrics, pr[0].tolist()
 
 
@@ -296,29 +296,23 @@ def evaluate(queries, gallery, query_labels, gallery_labels, query_ids=None) -> 
     interpolated precision-recall curve."""
     query_ids = _ids(query_ids, len(queries))
     discounts = _discounts(len(gallery))
-    per_query = []
-    excluded = []
-    pr_blocks = []
-    for start, keys, rel in _blocks(queries, gallery, query_labels, gallery_labels):
-        found = rel.any(axis=1)
-        metrics, pr = _score_block(list(compress(_relevant_ranks(keys, rel), found)), discounts)
-        ids = query_ids[start : start + len(rel)]
-        excluded.extend(compress(ids, ~found))
-        per_query.extend(PerQueryMetrics(qid, *m) for qid, m in zip(compress(ids, found), metrics))
+    scores, totals, pr_blocks = [], [], []
+    for _, keys, rel in _blocks(queries, gallery, query_labels, gallery_labels):
+        col, block_totals = _relevant_ranks(keys, rel)
+        metrics, pr = _score_block(col, block_totals[block_totals > 0], discounts)
+        scores += metrics
+        totals.append(block_totals)
         pr_blocks.append(pr)
-    if not per_query:
+    if not scores:
         raise ValueError("no query has a relevant gallery item; nothing to evaluate")
 
-    n = len(per_query)
+    n = len(scores)
+    found = np.concatenate(totals) > 0
+    excluded = list(compress(query_ids, ~found))
     pr_columns = np.concatenate(pr_blocks).T.tolist()
     return MetricReport(
-        nn=math.fsum(q.nn for q in per_query) / n,
-        ft=math.fsum(q.ft for q in per_query) / n,
-        st=math.fsum(q.st for q in per_query) / n,
-        e=math.fsum(q.e for q in per_query) / n,
-        dcg=math.fsum(q.dcg for q in per_query) / n,
-        map=math.fsum(q.ap for q in per_query) / n,
-        per_query=per_query,
+        *(math.fsum(column) / n for column in zip(*scores)),  # nn, ft, st, e, dcg, map
+        per_query=[PerQueryMetrics(qid, *m) for qid, m in zip(compress(query_ids, found), scores)],
         pr_curve=[(level, math.fsum(col) / n) for level, col in zip(PR_RECALL_LEVELS, pr_columns)],
         num_queries=n,
         num_excluded=len(excluded),

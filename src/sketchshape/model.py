@@ -262,17 +262,13 @@ def glorot_matrix(rng: Rng, rows: int, cols: int) -> np.ndarray:
 
 
 def init_mlp(rng: Rng, dims, weight_scale: float = 1.0) -> Mlp:
-    """dims = [d_in, h1, ..., d_out]; weights Glorot-uniform (optionally
-    rescaled), biases zero.  Layers are drawn in order."""
+    """dims = [d_in, h1, ..., d_out]; weights Glorot-uniform times
+    ``weight_scale`` (x 1.0 is exact), biases zero.  Layers are drawn in
+    order."""
     if len(dims) < 2 or any(d <= 0 for d in dims):
         raise ValueError(f"invalid layer dims {list(dims)}")
-    layers = []
-    for din, dout in zip(dims[:-1], dims[1:]):
-        w = glorot_matrix(rng, dout, din)
-        if weight_scale != 1.0:
-            w = w * weight_scale
-        layers.append((w, np.zeros(dout)))
-    return Mlp(layers)
+    return Mlp([(glorot_matrix(rng, dout, din) * weight_scale, np.zeros(dout))
+                for din, dout in zip(dims[:-1], dims[1:])])
 
 
 def init_sketch_model(cfg, rng: Rng) -> SketchModel:

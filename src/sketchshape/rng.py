@@ -4,12 +4,14 @@ The generator is SplitMix64: a 64-bit counter advances by the odd constant
 0x9E3779B97F4A7C15 per draw, and each raw output is the counter passed
 through an avalanche mixer (two xor-shift/multiply rounds, one final
 xor-shift).  Uniform doubles take the top 53 bits of a raw output, so the
-uniform stream is bit-reproducible wherever IEEE-754 doubles exist.  Normal
-draws apply the Box-Muller transform to uniform pairs; their last ulp
-depends on the SIMD loops numpy dispatches ``np.log`` to, not on libm: with
-AVX-512 it differed from ``math.log`` in 666 of 200,000 values, with AVX2 in
-none.  So normal streams are bitwise reproducible for one numpy build and
-SIMD target, and are compared statistically across platforms.
+uniform stream is bit-reproducible wherever IEEE-754 doubles exist.  Every
+normal draw is one ``normal_batches`` call (``normal_matrix`` is its
+one-batch case), which applies the Box-Muller transform to uniform pairs.
+The normals' last ulp depends on the SIMD loops numpy dispatches ``np.log``
+to, not on libm: with AVX-512 it differed from ``math.log`` in 666 of
+200,000 values, with AVX2 in none.  So normal streams are bitwise
+reproducible for one numpy build and SIMD target, and are compared
+statistically across platforms.
 """
 
 import math
@@ -56,58 +58,44 @@ class Rng:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         return z ^ (z >> np.uint64(31))
 
-    def uniform_block(self, n: int) -> np.ndarray:
-        """n uniforms in [0, 1), consuming n raw outputs: the top 53 bits of
-        each, divided by 2^53."""
-        return (self._raw_block(n) >> np.uint64(11)).astype(np.float64) * _INV53
-
     def uniform_matrix(self, rows: int, cols: int, low: float, high: float) -> np.ndarray:
-        """Row-major (rows x cols) matrix of low + (high - low) * uniform."""
-        u = self.uniform_block(rows * cols).reshape(rows, cols)
-        return low + (high - low) * u
-
-    def _normals(self, drawn: int, size: int) -> np.ndarray:
-        """A vector of ``size`` >= ``drawn`` entries whose first ``drawn``
-        (even) are standard normals from drawn / 2 uniform pairs, consuming
-        ``drawn`` raw outputs; the rest are left unset.
-
-        Each pair of entries comes from one uniform pair (u1, u2) as
-        sqrt(-2 ln u1) * (cos, sin)(2 pi u2), with u1 shifted into (0, 1] so
-        the log stays finite."""
-        bits = self._raw_block(drawn) >> np.uint64(11)
-        u1 = (bits[0::2].astype(np.float64) + 1.0) * _INV53  # (0, 1]
-        u2 = bits[1::2].astype(np.float64) * _INV53          # [0, 1)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        theta = _TWO_PI * u2
-        out = np.empty(size)
-        out[0:drawn:2] = radius * np.cos(theta)
-        out[1:drawn:2] = radius * np.sin(theta)
-        return out
+        """Row-major (rows x cols) matrix of low + (high - low) * u, each u in
+        [0, 1) the top 53 bits of one raw output divided by 2^53."""
+        u = (self._raw_block(rows * cols) >> np.uint64(11)).astype(np.float64) * _INV53
+        return low + (high - low) * u.reshape(rows, cols)
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """Row-major (rows x cols) matrix of standard normals via Box-Muller
-        (see ``_normals``).  Consumes 2 * ceil(rows * cols / 2) raw outputs:
-        an odd count drops the second half of its last pair."""
-        count = rows * cols
-        drawn = count + count % 2
-        return self._normals(drawn, drawn)[:count].reshape(rows, cols)
+        """Row-major (rows x cols) standard normals: normal_batches with one
+        batch, so an odd rows * cols draws a spare value and drops it."""
+        return self.normal_batches(rows, max(rows, 1), cols)
 
     def normal_batches(self, rows: int, batch: int, cols: int) -> np.ndarray:
-        """(rows x cols) normals drawn as one normal_matrix(b, cols) call per
-        consecutive batch of b = ``batch`` rows, the last batch keeping the
-        remainder: the same values and the same raw stream, in one block.
+        """(rows x cols) standard normals drawn one batch of b = ``batch``
+        consecutive rows at a time, the last batch keeping the remainder:
+        the values and the raw stream of one normal_matrix(b, cols) call per
+        batch, in one block.
 
         Each batch takes 2 * ceil(b * cols / 2) values and drops its spare
-        one.  The values are laid out one batch per row of a grid whose rows
-        start on a pair, and the spare and the unused tail of the short last
-        row fall outside the rows returned."""
+        one.  Each pair comes from one uniform pair (u1, u2) as
+        sqrt(-2 ln u1) * (cos, sin)(2 pi u2), with u1 shifted into (0, 1] so
+        the log stays finite.  The values are laid out one batch per row of
+        a grid whose rows start on a pair, and the spare and the unset tail
+        of the short last row fall outside the rows returned."""
         if batch < 1:
             raise ValueError(f"normal_batches needs batch >= 1, got {batch}")
         full, rest = divmod(rows, batch)
         batches, count, tail = full + (rest > 0), batch * cols, rest * cols
         width = count + count % 2
-        grid = self._normals(full * width + tail + tail % 2, batches * width).reshape(batches, width)
-        return grid[:, :count].reshape(batches * batch, cols)[:rows]
+        drawn = full * width + tail + tail % 2
+        bits = self._raw_block(drawn) >> np.uint64(11)
+        u1 = (bits[0::2].astype(np.float64) + 1.0) * _INV53  # (0, 1]
+        u2 = bits[1::2].astype(np.float64) * _INV53          # [0, 1)
+        radius = np.sqrt(-2.0 * np.log(u1))
+        theta = _TWO_PI * u2
+        grid = np.empty(batches * width)
+        grid[0:drawn:2] = radius * np.cos(theta)
+        grid[1:drawn:2] = radius * np.sin(theta)
+        return grid.reshape(batches, width)[:, :count].reshape(batches * batch, cols)[:rows]
 
     def integer(self, n: int) -> int:
         """Unbiased integer in [0, n) by rejection sampling raw outputs."""

@@ -139,10 +139,11 @@ def cosine_lr(t: int, total: int, lr0: float) -> float:
 
 
 def sgd_step(params, grads, lr: float, momentum: float, velocity=None) -> None:
-    """v <- momentum * v + g;  p <- p - lr * v, all in place, with one
-    velocity buffer per parameter array.  Training passes each stage's one
-    parameter vector, so a step is one update; the rule is elementwise, so
-    it gives the bits of a step on each array apart.
+    """v <- momentum * v + g;  p <- p - lr * v, in place on the parameter
+    array ``params``, its gradient ``grads`` and its velocity buffer.
+    Training steps each stage's one parameter vector, so a step is one
+    update; the rule is elementwise, so a step on several arrays in turn
+    gives the same bits.
 
     At momentum 0 ``velocity`` may be None, and the step is p <- p - lr * g
     with no buffer to scale and add to.  The two agree bit for bit except on
@@ -153,16 +154,14 @@ def sgd_step(params, grads, lr: float, momentum: float, velocity=None) -> None:
         raise ValueError(f"lr must be >= 0, got {lr}")
     if velocity is None and momentum != 0.0:
         raise ValueError(f"sgd_step needs a velocity buffer at momentum {momentum}")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ValueError(f"sgd_step shape mismatch: param {p.shape} vs grad {g.shape}")
-        if velocity is None:
-            p -= lr * g
-        else:
-            v = velocity[i]
-            v *= momentum
-            v += g
-            p -= lr * v
+    if params.shape != grads.shape:
+        raise ValueError(f"sgd_step shape mismatch: param {params.shape} vs grad {grads.shape}")
+    if velocity is None:
+        params -= lr * grads
+    else:
+        velocity *= momentum
+        velocity += grads
+        params -= lr * velocity
 
 
 @dataclass
@@ -226,7 +225,7 @@ def _fit(stage: str, cfg: TrainConfig, rng: Rng, n: int, params, grads, step, no
     The stages validate their inputs before calling this, so ``step`` does
     arithmetic only.  Aborts with a diagnostic on a non-finite loss, or
     parameter after the last step."""
-    velocity = [np.zeros_like(params)] if cfg.momentum else None
+    velocity = np.zeros_like(params) if cfg.momentum else None
     report = TrainReport(seed=cfg.seed)
     start_time = time.perf_counter()
     for epoch in range(cfg.max_epochs):
@@ -242,7 +241,7 @@ def _fit(stage: str, cfg: TrainConfig, rng: Rng, n: int, params, grads, step, no
                     f"{stage} aborted: non-finite loss {loss} at epoch {epoch}, in the batch at position {start} of "
                     "the epoch's shuffled order"
                 )
-            sgd_step([params], [grads], lr, cfg.momentum, velocity)
+            sgd_step(params, grads, lr, cfg.momentum, velocity)
             total += loss * len(batch)
         report.losses.append(total / n)
         report.lrs.append(lr)

@@ -5,12 +5,14 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sketchshape import data as data_mod
+from sketchshape import gradcheck as gradcheck_mod
 from sketchshape import model as model_mod
 from sketchshape.cli import main
 from sketchshape.data import load_dataset, load_embeddings
@@ -21,6 +23,7 @@ from sketchshape.model import (
     save_shape_checkpoint,
     save_sketch_checkpoint,
 )
+from sketchshape.train import TrainConfig, format_config
 
 
 DESK_CONFIG = "\n".join(
@@ -127,6 +130,11 @@ class TestUsageErrors:
 
     def test_bad_noise_mode_exits_1(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path), "--noise-mode", "junk"]) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: sketchshape")
 
 
 def _drop_matrices(text, prefix):
@@ -461,12 +469,77 @@ class TestPipeline:
         assert capsys.readouterr().err == f"error: {ckpt}: expected a sketch checkpoint, found kind 'shape'\n"
 
 
+class TestTrainingOptions:
+    def test_epochs_flag_overrides_the_config(self, pipeline, tmp_path, capsys):
+        argv = ["train-sketch", "--data", str(pipeline["data"]), "--out", str(tmp_path), "--config", str(pipeline["cfg"]),
+                "--epochs", "2"]
+        assert main(argv) == 0
+        assert "[train-sketch]   max_epochs = 2\n" in capsys.readouterr().out
+        assert len((tmp_path / "stage1_report.txt").read_text().splitlines()) == 2 + 2
+
+    def test_no_config_means_the_defaults(self, pipeline, tmp_path, capsys):
+        """Only the dataset's sizes and --seed change TrainConfig()."""
+        assert main(["train-sketch", "--data", str(pipeline["data"]), "--out", str(tmp_path), "--seed", "3"]) == 0
+        indent = "[train-sketch]   "
+        printed = [line[len(indent):] for line in capsys.readouterr().out.splitlines() if line.startswith(indent)]
+        assert printed == format_config(replace(TrainConfig(), feature_dim=8, classes=3, seed=3)).splitlines()
+        assert len((tmp_path / "stage1_report.txt").read_text().splitlines()) == 2 + TrainConfig().max_epochs
+
+
+def _write_embeddings(path, modality, labels, matrix):
+    n = len(labels)
+    data_mod.write_feature_csv(path, [f"{modality[0]}{i}" for i in range(n)], np.array(labels, dtype=np.int64),
+                               ["test"] * n, [modality] * n, np.asarray(matrix, dtype=np.float64))
+
+
+class TestEvalCommand:
+    """Every query is (1, 0) against the gallery (1, 0) of label 0 and
+    (0, 1) of label 1, so a label-0 query finds its item first and a
+    label-1 query second, and every metric is exact."""
+
+    SCORED = "nn = 0.5\nft = 0.5\nst = 1.0\ne = 0.6666666666666666\ndcg = 1.0\nmap = 0.75\nnum_queries = 2\n"
+
+    @staticmethod
+    def _eval(tmp_path, labels):
+        _write_embeddings(tmp_path / "queries.csv", "sketch", labels, [[1.0, 0.0]] * len(labels))
+        _write_embeddings(tmp_path / "gallery.csv", "shape", [0, 1], np.eye(2))
+        argv = ["eval", "--queries", str(tmp_path / "queries.csv"), "--gallery", str(tmp_path / "gallery.csv"),
+                "--out", str(tmp_path / "eval")]
+        return main(argv), (tmp_path / "eval" / "metrics.txt").read_bytes()
+
+    def test_metrics_file_without_exclusions(self, tmp_path, capsys):
+        assert self._eval(tmp_path, [0, 1]) == (0, (self.SCORED + "num_excluded = 0\n").encode())
+        assert "excluded" not in capsys.readouterr().out
+
+    def test_query_without_relevant_item_is_excluded_and_named(self, tmp_path, capsys):
+        want = self.SCORED + "num_excluded = 1\nexcluded_ids = s1\n"
+        assert self._eval(tmp_path, [0, 7, 1]) == (0, want.encode())
+        assert "[eval] excluded 1 queries with no relevant gallery item\n" in capsys.readouterr().out
+
+    def test_width_mismatch_names_both_files(self, tmp_path, capsys):
+        queries, gallery = tmp_path / "queries.csv", tmp_path / "gallery.csv"
+        _write_embeddings(queries, "sketch", [0], [[1.0, 0.0]])
+        _write_embeddings(gallery, "shape", [0], [[1.0]])
+        assert main(["eval", "--queries", str(queries), "--gallery", str(gallery), "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == f"error: {queries} has dim 2 but {gallery} has dim 1\n"
+        assert not (tmp_path / "eval").exists()
+
+
 class TestGradcheckCommand:
     def test_passes_and_prints(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "margin_loss" in out
         assert "OK" in out
+
+    @pytest.mark.parametrize("factor", [1.0, 10.0])
+    def test_a_check_at_the_tolerance_fails(self, monkeypatch, capsys, factor):
+        err = factor * gradcheck_mod.TOLERANCE
+        monkeypatch.setitem(gradcheck_mod.ALL_CHECKS, "kl", lambda seed: err)
+        assert main(["gradcheck", "--seed", "0"]) == 2
+        out, stderr = capsys.readouterr()
+        assert f"[gradcheck] kl: max relative error = {err:.3e}\n" in out and "OK" not in out
+        assert stderr == f"[gradcheck] FAIL: worst error {err:.3e} >= {gradcheck_mod.TOLERANCE}\n"
 
 
 class TestRunAsModule:

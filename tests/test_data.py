@@ -94,6 +94,17 @@ class TestGenerate:
         own = cos[np.arange(len(labels)), labels]
         # mislabeled features are far from their own class's clean centroid
         assert own[noisy].mean() < own[~noisy].mean() - 0.3
+        # and each is a clean feature of another class: its nearest clean
+        # centroid is another class's, at a cosine near one
+        assert (cos[noisy].argmax(axis=1) != labels[noisy]).all()
+        assert cos[noisy].max(axis=1).min() >= 0.9
+
+    def test_take_keeps_the_noisy_flags(self):
+        sketch = small_dataset(seed=2, noise_frac=0.5).sketch
+        rows = np.concatenate([np.flatnonzero(sketch.noisy)[:3], np.flatnonzero(~sketch.noisy)[:3]])[::-1]
+        got = sketch.take(rows)
+        assert got.noisy.dtype == bool and got.noisy.tolist() == [False] * 3 + [True] * 3
+        assert got.ids == [sketch.ids[i] for i in rows.tolist()]
 
     def test_prototype_constraint_failure_suggests_larger_dim(self):
         with pytest.raises(ValueError, match="increase the feature dimension"):
@@ -210,6 +221,24 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=r"manifest.txt line 12: key 'classes' repeats line 2"):
             load_dataset(tmp_path, "sketch")
 
+    def test_blank_manifest_lines_load(self, tmp_path):
+        ds = small_dataset(seed=9)
+        save_dataset(ds, tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text(lines[0] + "\n" + "  \n".join(lines[1:]) + "\n\n")
+        loaded = load_dataset(tmp_path, "sketch")
+        assert loaded.manifest == ds.manifest
+        assert_same_samples(loaded.sketch, ds.sketch._replace(noisy=None))
+
+    @pytest.mark.parametrize("modality, name", [("sketch", "sketches.csv"), ("shape", "shapes.csv")])
+    def test_manifest_feature_dim_must_match_the_file(self, tmp_path, modality, name):
+        save_dataset(small_dataset(seed=9), tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("feature_dim = 8\n", "feature_dim = 9\n"))
+        with pytest.raises(ValueError, match=rf"{name}: dim 8 != manifest feature_dim 9$"):
+            load_dataset(tmp_path, modality)
+
     def test_manifest_count_mismatch_detected(self, tmp_path):
         """The last shape's view rows removed: one test shape short."""
         save_dataset(small_dataset(seed=9), tmp_path)
@@ -317,6 +346,10 @@ class TestDatasetFiles:
                 assert_same_samples(got, samples.take(rows))
                 for name in ("labels", "features"):
                     assert np.shares_memory(getattr(got, name), getattr(samples, name)), (modality, split, name)
+
+    def test_subset_of_another_field_rejected(self):
+        with pytest.raises(ValueError, match="^the dataset holds no manifest samples$"):
+            small_dataset(seed=9).subset("manifest", "train")
 
     def test_unknown_modality_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="modality"):

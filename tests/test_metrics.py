@@ -9,8 +9,10 @@ import pytest
 
 from reference import evaluate_bruteforce, rank_bruteforce, six_metrics_bruteforce
 from sketchshape.metrics import (
+    PR_RECALL_LEVELS,
     RankedList,
     _blocks,
+    _levels_below,
     _relevant_ranks,
     average_precision,
     dcg,
@@ -187,10 +189,9 @@ class TestTiedRows:
             assert tied.any() and not tied.all()
         for _, keys, rel in blocks:
             want = np.take_along_axis(rel, np.argsort(keys, axis=1, kind="stable"), axis=1)
-            got = _relevant_ranks(keys, rel)
-            assert len(got) == len(want)
-            for ranks, row in zip(got, want):
-                np.testing.assert_array_equal(ranks, np.flatnonzero(row))
+            col, totals = _relevant_ranks(keys, rel)
+            assert totals.tolist() == want.sum(axis=1).tolist()
+            assert col.tolist() == [rank for row in want for rank in np.flatnonzero(row).tolist()]
 
     @pytest.mark.parametrize("duplicates", [False, True])
     def test_evaluate_matches_bruteforce_bitwise(self, duplicates):
@@ -207,8 +208,8 @@ class TestTiedRows:
         keys = np.array([[0.0, -0.0, 0.5, -0.0], [0.25, -0.5, 0.5, 0.0]])
         rel = np.array([[False, True, False, True], [True, False, True, True]])
         assert _tied_rows(keys).tolist() == [True, False]
-        got = _relevant_ranks(keys, rel)
-        assert [r.tolist() for r in got] == [[1, 2], [1, 2, 3]]
+        col, totals = _relevant_ranks(keys, rel)
+        assert (col.tolist(), totals.tolist()) == ([1, 2, 1, 2, 3], [2, 3])
 
 
 class TestAveragePrecision:
@@ -377,6 +378,22 @@ class TestEvaluate:
             )
             assert scaled.per_query_ap == base.per_query_ap
 
+    def test_block_without_relevant_items_is_excluded(self):
+        """The second block's 128 queries carry a label no gallery item has;
+        every other query scores as the brute-force oracle does, bitwise."""
+        rng = Rng(32)
+        count = 2 * BLOCK_ROWS + 5
+        queries, gallery = rng.uniform_matrix(count, 3, -1.0, 1.0), rng.uniform_matrix(20, 3, -1.0, 1.0)
+        qlabels = [9 if BLOCK_ROWS <= i < 2 * BLOCK_ROWS else rng.integer(3) for i in range(count)]
+        glabels = [i % 3 for i in range(20)]
+        report = evaluate(queries, gallery, qlabels, glabels)
+        assert report.excluded_ids == [str(i) for i in range(BLOCK_ROWS, 2 * BLOCK_ROWS)]
+        assert (report.num_queries, report.num_excluded) == (BLOCK_ROWS + 5, BLOCK_ROWS)
+        assert [q.query_id for q in report.per_query] == [str(i) for i in range(count) if qlabels[i] != 9]
+        means, aps = evaluate_bruteforce(queries.tolist(), gallery.tolist(), qlabels, glabels)
+        assert (report.nn, report.ft, report.st, report.e, report.dcg, report.map) == means
+        assert report.per_query_ap == aps
+
     def test_queries_without_relevant_items_are_excluded_and_counted(self):
         queries = np.array([[1.0, 0.0], [0.0, 1.0]])
         gallery = np.array([[1.0, 0.1], [0.9, 0.2]])
@@ -417,6 +434,26 @@ class TestEvaluate:
         report = evaluate(queries, gallery, [0, 1, 2], [0, 1, 2])
         assert [r for r, _ in report.pr_curve] == [i / 10.0 for i in range(11)]
         assert all(p == 1.0 for _, p in report.pr_curve)
+
+
+def _levels_below_by_search(totals, below):
+    """Whether ``below(totals)`` counts, for each R in ``totals`` and each
+    recall level, the recalls nth / R (nth = 1..R) below the level, as a
+    binary search over them does."""
+    want = [np.searchsorted(np.arange(1, r + 1) / r, PR_RECALL_LEVELS) for r in totals.tolist()]
+    return np.array_equal(below(totals), np.array(want))
+
+
+def test_levels_below_is_the_binary_search_over_recalls():
+    """The closed form matches the search for every R up to 5000, and the
+    check is tight: counting the recalls at or below a level fails it."""
+    totals = np.arange(1, 5001)
+    assert _levels_below_by_search(totals, _levels_below)
+
+    def at_or_below(t):
+        return np.arange(len(PR_RECALL_LEVELS)) * t[:, None] // 10
+
+    assert not _levels_below_by_search(totals, at_or_below)
 
 
 class TestReportFiles:

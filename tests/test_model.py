@@ -431,6 +431,39 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
 
+    def test_unfrozen_classifier_round_trips(self, tmp_path):
+        rng = Rng(84)
+        model = init_sketch_model(_tiny_cfg(), rng)
+        path, again = tmp_path / "sketch.ckpt", tmp_path / "again.ckpt"
+        save_sketch_checkpoint(path, model, Classifier(rng.uniform_matrix(3, 4, -1.0, 1.0), frozen=False))
+        assert path.read_text().splitlines()[2] == "classifier_frozen false"
+        _, loaded, classifier = load_checkpoint(path, "sketch")
+        assert not classifier.frozen
+        save_sketch_checkpoint(again, loaded, classifier)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_blank_lines_between_matrices_load(self, tmp_path):
+        model = init_shape_model(_tiny_cfg(), Rng(85))
+        path = tmp_path / "shape.ckpt"
+        save_shape_checkpoint(path, model)
+        path.write_text(path.read_text().replace("\nmatrix ", "\n\n  \nmatrix "))
+        _, loaded, _ = load_checkpoint(path, "shape")
+        assert [a.tobytes() for a in _parameters(loaded)] == [a.tobytes() for a in _parameters(model)]
+
+    def test_head_of_another_input_width_names_its_line(self, tmp_path):
+        """The backbone outputs 6 values; a mu head taking 5 is refused at
+        its weight's header line."""
+        cfg = _tiny_cfg()
+        rng = Rng(86)
+        model = init_sketch_model(cfg, rng)
+        model.mu_head = init_mlp(rng, [5, cfg.embed_dim])
+        path = tmp_path / "sketch.ckpt"
+        save_sketch_checkpoint(path, model, init_classifier(cfg, rng))
+        lineno = path.read_text().splitlines().index("matrix mu_head.0.weight 4 5") + 1
+        with pytest.raises(ValueError, match=rf"sketch.ckpt line {lineno}: layer mu_head.0 is 4x5 with 1x4 biases, "
+                                             r"expected 6 inputs$"):
+            load_checkpoint(path)
+
 
 class TestFullChainGradients:
     @pytest.mark.parametrize("seed", range(3))

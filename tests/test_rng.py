@@ -1,5 +1,7 @@
 """Deterministic generator: reproducibility and distribution quality."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,12 +27,13 @@ def test_block_matches_scalar_stream():
     scalar = Rng(99)
     block = Rng(99)
     want = [(scalar.next_u64() >> 11) * 2**-53 for _ in range(257)]
-    got = block.uniform_block(257).tolist()
+    got = block.uniform_matrix(1, 257, 0.0, 1.0)[0].tolist()
     assert want == got
+    assert block.next_u64() == scalar.next_u64()
 
 
 def test_uniform_range():
-    u = Rng(7).uniform_block(100_000)
+    u = Rng(7).uniform_matrix(1, 100_000, 0.0, 1.0)
     assert u.min() >= 0.0
     assert u.max() < 1.0
 
@@ -39,7 +42,7 @@ def test_uniform_matrix_is_row_major_affine():
     r1 = Rng(5)
     m = r1.uniform_matrix(3, 4, -2.0, 2.0)
     r2 = Rng(5)
-    flat = r2.uniform_block(12)
+    flat = np.array([(r2.next_u64() >> 11) * 2**-53 for _ in range(12)])
     np.testing.assert_array_equal(m.ravel(), -2.0 + 4.0 * flat)
     assert m.min() >= -2.0 and m.max() < 2.0
 
@@ -60,6 +63,23 @@ def test_normal_matrix_matches_scalar_draws():
     np.testing.assert_array_equal(m.ravel(), again.ravel())
     assert np.isfinite(m).all()
     assert scalars.normal_matrix(1, 1)[0, 0] == pytest.approx(m[0, 0])
+
+
+def test_normal_matrix_is_box_muller_on_scalar_pairs():
+    """Row-major pairs sqrt(-2 ln u1) * (cos, sin)(2 pi u2), u1 in (0, 1],
+    from consecutive raw outputs; an odd count draws a spare and drops it."""
+    scalar = Rng(13)
+    want = []
+    for _ in range(8):
+        u1 = ((scalar.next_u64() >> 11) + 1) * 2**-53
+        u2 = (scalar.next_u64() >> 11) * 2**-53
+        radius = math.sqrt(-2.0 * math.log(u1))
+        want += [radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)]
+    block = Rng(13)
+    got = block.normal_matrix(3, 5)
+    assert got.shape == (3, 5)
+    np.testing.assert_allclose(got.ravel(), want[:15], rtol=1e-13, atol=1e-15)
+    assert block.next_u64() == scalar.next_u64()
 
 
 @pytest.mark.parametrize("rows", [5, 23])

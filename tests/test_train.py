@@ -99,13 +99,13 @@ class TestCosineLr:
 class TestSgdStep:
     def test_plain_rule(self):
         p = np.array([[1.0]])
-        sgd_step([p], [np.array([[2.0]])], 0.1, 0.0, [np.zeros((1, 1))])
+        sgd_step(p, np.array([[2.0]]), 0.1, 0.0, np.zeros((1, 1)))
         assert p[0, 0] == pytest.approx(0.8, abs=1e-15)
 
     def test_zero_lr_is_noop(self):
         p = np.array([[1.0, 2.0]])
         before = p.copy()
-        sgd_step([p], [np.array([[5.0, -1.0]])], 0.0, 0.9, [np.zeros((1, 2))])
+        sgd_step(p, np.array([[5.0, -1.0]]), 0.0, 0.9, np.zeros((1, 2)))
         np.testing.assert_array_equal(p, before)
 
     def test_momentum_matches_hand_unrolled_recurrence(self):
@@ -114,8 +114,8 @@ class TestSgdStep:
         g2 = np.array([[-2.0]])
         p = np.array([[0.5]])
         v = np.zeros((1, 1))
-        sgd_step([p], [g1], lr, mom, [v])
-        sgd_step([p], [g2], lr, mom, [v])
+        sgd_step(p, g1, lr, mom, v)
+        sgd_step(p, g2, lr, mom, v)
         v1 = 1.0
         v2 = mom * v1 + (-2.0)
         want = 0.5 - lr * v1 - lr * v2
@@ -123,15 +123,15 @@ class TestSgdStep:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            sgd_step([np.zeros((2, 2))], [np.zeros((2, 3))], 0.1, 0.0, [np.zeros((2, 2))])
+            sgd_step(np.zeros((2, 2)), np.zeros((2, 3)), 0.1, 0.0, np.zeros((2, 2)))
 
     def test_shape_mismatch_without_velocity(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            sgd_step([np.zeros((2, 2))], [np.zeros((2, 3))], 0.1, 0.0)
+            sgd_step(np.zeros((2, 2)), np.zeros((2, 3)), 0.1, 0.0)
 
     def test_momentum_needs_velocity(self):
         with pytest.raises(ValueError, match="velocity buffer"):
-            sgd_step([np.zeros((1, 1))], [np.ones((1, 1))], 0.1, 0.9, None)
+            sgd_step(np.zeros((1, 1)), np.ones((1, 1)), 0.1, 0.9, None)
 
     def test_no_buffer_at_momentum_zero_matches_buffer_bitwise(self):
         # gradients with signed zeros, steps with lr 0; parameters start
@@ -140,12 +140,12 @@ class TestSgdStep:
         p_buf = rng.uniform_matrix(4, 5, -1.0, 1.0)
         p_buf[0] = 0.0
         p_free = p_buf.copy()
-        velocity = [np.zeros_like(p_buf)]
+        velocity = np.zeros_like(p_buf)
         for lr in (0.1, 0.0, 0.05, 0.2):
             g = np.floor(rng.uniform_matrix(4, 5, -2.0, 2.0))
             g[:, ::2] = -g[:, ::2]  # turns the zeros of every other column into -0.0
-            sgd_step([p_buf], [g], lr, 0.0, velocity)
-            sgd_step([p_free], [g], lr, 0.0)
+            sgd_step(p_buf, g, lr, 0.0, velocity)
+            sgd_step(p_free, g, lr, 0.0)
             assert p_buf.tobytes() == p_free.tobytes()
 
 
@@ -190,6 +190,11 @@ class TestTrainConfig:
     def test_config_file_partial_keeps_defaults(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("lr0 = 0.01\nmax_epochs = 7  # comment\n")
+        assert load_config(path) == TrainConfig(lr0=0.01, max_epochs=7)
+
+    def test_blank_and_comment_lines_load(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("# desk run\n\nlr0 = 0.01\n   \n#\n  # max_epochs = 9\nmax_epochs = 7\n\n")
         assert load_config(path) == TrainConfig(lr0=0.01, max_epochs=7)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -444,7 +449,8 @@ def _reference_fit(cfg, rng, n, params, step):
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             loss, grads = step(batch)
-            sgd_step(params, grads, lr, cfg.momentum, velocity)
+            for p, g, v in zip(params, grads, velocity):
+                sgd_step(p, g, lr, cfg.momentum, v)
             total += loss * len(batch)
         losses.append(total / n)
     return losses
