@@ -79,18 +79,18 @@ def _write_run(command: str, out, checkpoint: str, report_name: str, report, sav
 
 
 def cmd_train_sketch(args) -> int:
-    ds = data_mod.load_dataset(args.data, "sketch")
+    ds = data_mod.load_dataset(args.data, "sketch", "train")
     cfg = _train_config("train-sketch", args, ds.manifest)
-    model, classifier, report = train_stage1(ds.sketches("train"), cfg, Rng(cfg.seed))
+    model, classifier, report = train_stage1(ds.sketch, cfg, Rng(cfg.seed))
     return _write_run("train-sketch", args.out, "sketch.ckpt", "stage1_report.txt", report,
                       save_sketch_checkpoint, model, classifier)
 
 
 def cmd_train_shape(args) -> int:
-    ds = data_mod.load_dataset(args.data, "shape")
+    ds = data_mod.load_dataset(args.data, "shape", "train")
     cfg = _train_config("train-shape", args, ds.manifest)
     classifier = load_checkpoint(args.checkpoint, "sketch")[2].freeze()
-    model, report = train_stage2(ds.shapes("train"), classifier, cfg, Rng(cfg.seed))
+    model, report = train_stage2(ds.shape, classifier, cfg, Rng(cfg.seed))
     return _write_run("train-shape", args.out, "shape.ckpt", "stage2_report.txt", report, save_shape_checkpoint, model)
 
 
@@ -99,7 +99,7 @@ def _encode_split(args, only=None):
     sketches, (embeddings,) for shapes.  The checkpoint (of kind ``only``
     if given) is read before the dataset of its kind."""
     kind, model, _ = load_checkpoint(args.checkpoint, only)
-    samples = data_mod.load_dataset(args.data, kind).subset(kind, args.split)
+    samples = getattr(data_mod.load_dataset(args.data, kind, args.split), kind)
     if not samples.ids:
         raise ValueError(f"no {kind} records in split {args.split!r}")
     if kind == "sketch":

@@ -25,16 +25,18 @@ reads a block's values, which gives float()'s bits, and a block with any
 fault is re-read line by line with float(), so the error names the file
 and the line of the first fault.  It is written in blocks of rows too,
 formatted in a pool of worker processes when the write is large and the
-process may use more than one CPU; the bytes are the same either way.  A
-dataset holds these columns per modality (``Samples``) from generate or
-the parse to the encoder or writer, a shape's view rows as one
-N x views x dim block: shapes.csv is written from that block, views rows
-per sample, and loaded into it as a view of the parsed matrix when its
-rows come in the writer's order.  A split that is one contiguous range of
-rows, as in every generated dataset, is a view of the loaded columns
-(``Dataset.subset``), so embed and report-uncertainty hold one copy of the
-features; editing such a subset in place edits the dataset, which no
-caller here does.
+process may use more than one CPU; the bytes are the same either way.
+
+A load reads one modality and one split (``load_dataset(dir, modality,
+split)``), and parses only that split's values: every row's text columns
+(ASCII, field count, label, modality, a shape's view numbering and its
+views' agreement) and the manifest's counts of both splits are checked,
+but a malformed or non-finite value in a row of the other split goes
+unread.  The loaded samples (``Samples``) hold that split alone, a
+shape's view rows as one N x views x dim block: shapes.csv is written from
+that block, views rows per sample, and loaded into it as a view of the
+parsed matrix when the split's rows come in the writer's order.
+``Dataset.subset`` copies one split of generate's datasets.
 """
 
 import math
@@ -105,26 +107,19 @@ class Manifest:
 
 @dataclass
 class Dataset:
-    """The manifest and the samples of each modality read (None: not read)."""
+    """The manifest and the samples of each modality: both splits of both
+    from generate, one split of one from load_dataset (None: not read)."""
 
     manifest: Manifest
     sketch: Samples | None = None
     shape: Samples | None = None
 
     def subset(self, modality: str, split: str) -> Samples:
-        """The samples of ``split`` in file order.  When they are one
-        contiguous range of rows, as in every generated dataset, the
-        columns are slices: the lists are copied, but the arrays are views
-        of the dataset's, so editing them in place edits the dataset.  Any
-        other split is copied by Samples.take."""
+        """A copy of the samples of ``split``, in order (Samples.take)."""
         samples = getattr(self, modality) if modality in ("sketch", "shape") else None
         if samples is None:
             raise ValueError(f"the dataset holds no {modality} samples")
-        rows = [i for i, s in enumerate(samples.splits) if s == split]
-        if rows and rows[-1] - rows[0] != len(rows) - 1:
-            return samples.take(np.array(rows, dtype=np.int64))
-        part = slice(rows[0], rows[-1] + 1) if rows else slice(0)
-        return Samples(*(None if column is None else column[part] for column in samples))
+        return samples.take(np.array([i for i, s in enumerate(samples.splits) if s == split], dtype=np.int64))
 
     def sketches(self, split: str) -> Samples:
         return self.subset("sketch", split)
@@ -333,10 +328,14 @@ def _noise_mode(raw: str) -> str:
     return raw
 
 
-def read_feature_csv(path):
-    """Returns the columns (ids, labels, splits, modalities, matrix), labels
-    as int64 and matrix as float64 rows x dim; raises with the offending
-    line number on malformed input or a non-finite value."""
+def read_feature_csv(path, split):
+    """Returns the columns (ids, labels, splits, modalities, matrix): the
+    four text columns of every row, labels as int64, and matrix the float64
+    values of the rows whose split is ``split`` (of every row for None),
+    rows x dim in file order.  Every row's text and field count are checked,
+    and only the values in matrix are parsed; a fault raises with the
+    offending line number, so a malformed or non-finite value in a row of
+    another split goes unread."""
     lines = _text_lines(path)
     header = next(lines, (1, ""))[1].rstrip("\n")
     cols = header.split(",")
@@ -348,30 +347,34 @@ def read_feature_csv(path):
     columns = ([], array("q"), [], [], array("d"))
     rows = ((lineno, line) for lineno, line in lines if line != "\n")
     for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
-        _read_block(path, block, dim, columns)
+        _read_block(path, block, dim, split, columns)
     ids, labels, splits, modalities, values = columns
-    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dim)
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(-1, dim)
     return ids, np.frombuffer(labels, dtype=np.int64), splits, modalities, matrix
 
 
-def _read_block(path, block, dim, columns) -> None:
-    """Append a block of (line number, line) rows to columns, its values
-    parsed by one np.loadtxt call.  On any fault, or on text where numpy
-    and float() could disagree, the block is re-read by _read_lines, which
-    accepts what float() accepts and reports the first fault by line."""
+def _read_block(path, block, dim, split, columns) -> None:
+    """Append a block of (line number, line) rows to columns, the values of
+    its rows of ``split`` parsed by one np.loadtxt call.  On any fault, or
+    on text where numpy and float() could disagree, the block is re-read by
+    _read_lines, which accepts what float() accepts and reports the first
+    fault by line."""
     fields = [line.split(",", 4) for _, line in block]
     try:
         labels = array("q", [int(f[1]) for f in fields])
-        rests = [f[4] for f in fields]
+        rests = [f[4] for f in fields if split is None or f[2] == split]
+        # A row of another split is not parsed, but must hold dim values.
+        if len(rests) < len(fields) and any(f[4].count(",") != dim - 1 for f in fields if f[2] != split):
+            raise ValueError("a field count to report by line")
         # np.loadtxt skips an empty line (and warns on a block of them),
         # and strips \x1c-\x1f around a number, which float() rejects.
         if "\n" in rests or "" in rests or any(c in rest for rest in rests for c in "\x1c\x1d\x1e\x1f"):
             raise ValueError("a block numpy could read unlike float()")
-        values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
+        values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2) if rests else np.empty((0, dim))
     except (IndexError, ValueError, OverflowError):
-        return _read_lines(path, block, dim, columns)
-    if values.shape != (len(block), dim) or not np.isfinite(values).all():
-        return _read_lines(path, block, dim, columns)
+        return _read_lines(path, block, dim, split, columns)
+    if values.shape != (len(rests), dim) or not np.isfinite(values).all():
+        return _read_lines(path, block, dim, split, columns)
     ids, all_labels, splits, modalities, all_values = columns
     ids.extend(f[0] for f in fields)
     all_labels.extend(labels)
@@ -380,9 +383,10 @@ def _read_block(path, block, dim, columns) -> None:
     all_values.frombytes(values.tobytes())
 
 
-def _read_lines(path, block, dim, columns) -> None:
+def _read_lines(path, block, dim, split, columns) -> None:
     """Append a block of (line number, line) rows to columns one line at a
-    time with float(); raises with the line of the first fault."""
+    time, the values of rows of ``split`` with float(); raises with the
+    line of the first fault."""
     ids, labels, splits, modalities, values = columns
     for lineno, line in block:
         parts = line.rstrip("\n").split(",")
@@ -390,7 +394,7 @@ def _read_lines(path, block, dim, columns) -> None:
             raise ValueError(f"{path} line {lineno}: expected {4 + dim} fields, got {len(parts)}")
         try:
             labels.append(int(parts[1]))
-            row = [float(v) for v in parts[4:]]
+            row = [float(v) for v in parts[4:]] if split is None or parts[2] == split else []
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
         # The row's float sum is finite unless a value is not or the sum
@@ -455,11 +459,12 @@ def load_manifest(path) -> Manifest:
     )
 
 
-def _read_rows(path, manifest: Manifest, modality: str):
-    """The ids, labels, splits and matrix of one of the dataset's feature
-    files, checked against the manifest's feature dimension and class
-    count and against the file's modality."""
-    ids, labels, splits, modalities, matrix = read_feature_csv(path)
+def _read_rows(path, manifest: Manifest, modality: str, split: str):
+    """The ids, labels and splits of every row of one of the dataset's
+    feature files, and the matrix of the rows of ``split``; every row is
+    checked against the manifest's class count and the file's modality,
+    and the matrix against the manifest's feature dimension."""
+    ids, labels, splits, modalities, matrix = read_feature_csv(path, split)
     if matrix.shape[1] != manifest.feature_dim:
         raise ValueError(f"{path}: dim {matrix.shape[1]} != manifest feature_dim {manifest.feature_dim}")
     bad = np.flatnonzero((labels < 0) | (labels >= manifest.classes))
@@ -472,16 +477,30 @@ def _read_rows(path, manifest: Manifest, modality: str):
     return ids, labels, splits, matrix
 
 
-def _load_shapes(indir: Path, manifest: Manifest) -> Samples:
-    """One sample per shape from its view rows, which must agree on label
-    and split and be numbered .v00 to the manifest's view count.  Each row
-    gets its shape's index (shapes in order of first appearance) and its
-    view number, and one stable lexsort groups the rows.  The
-    N x views x dim block is a view of the parsed matrix when the rows come
-    in the writer's order (each shape's views together, .v00 first), and is
-    gathered with one index array otherwise."""
+def _of_split(ids, labels, splits, features, split: str) -> Samples:
+    """The samples of ``split`` among columns of every sample, with the
+    features of that split alone."""
+    rows = [i for i, s in enumerate(splits) if s == split]
+    return Samples([ids[i] for i in rows], labels[rows], [splits[i] for i in rows], features, None)
+
+
+def _load_sketches(indir: Path, manifest: Manifest, split: str):
+    """(the split of every sketch, the sketches of ``split``)."""
+    ids, labels, splits, matrix = _read_rows(indir / "sketches.csv", manifest, "sketch", split)
+    return splits, _of_split(ids, labels, splits, matrix, split)
+
+
+def _load_shapes(indir: Path, manifest: Manifest, split: str):
+    """(the split of every shape, the shapes of ``split``).  A shape is one
+    sample from its view rows, which must agree on label and split and be
+    numbered .v00 to the manifest's view count; every shape is checked.
+    Each row gets its shape's index (shapes in order of first appearance)
+    and its view number, and one stable lexsort groups the rows.  The
+    split's N x views x dim block is a view of the parsed matrix when its
+    rows come in the writer's order (each shape's views together, .v00
+    first), and is gathered with one index array otherwise."""
     path = indir / "shapes.csv"
-    ids, labels, splits, matrix = _read_rows(path, manifest, "shape")
+    ids, labels, splits, matrix = _read_rows(path, manifest, "shape", split)
     views = manifest.views
     index, first, shape_of, view_of = {}, array("q"), array("q"), array("q")
     for i, sample_id in enumerate(ids):
@@ -497,8 +516,9 @@ def _load_shapes(indir: Path, manifest: Manifest) -> Samples:
     bases = list(index)
     first, shape_of, view_of = (np.frombuffer(column, dtype=np.int64) for column in (first, shape_of, view_of))
     shape_labels, shape_splits = labels[first], [splits[i] for i in first.tolist()]
+    row_splits = np.array(splits, dtype=object)
     disagree = np.flatnonzero((labels != shape_labels[shape_of])
-                              | (np.array(splits, dtype=object) != np.array(shape_splits, dtype=object)[shape_of]))
+                              | (row_splits != np.array(shape_splits, dtype=object)[shape_of]))
     if disagree.size:
         i = disagree[0]
         raise ValueError(f"{path}: view row {ids[i]} disagrees with shape {bases[shape_of[i]]} on label or split")
@@ -509,30 +529,35 @@ def _load_shapes(indir: Path, manifest: Manifest) -> Samples:
             found[k].append(int(sample_id.rpartition(".v")[2]))
         k = next(k for k, numbers in enumerate(found) if sorted(numbers) != list(range(views)))
         raise ValueError(f"{path}: shape {bases[k]} has views {sorted(found[k])}, manifest says {views}")
-    rows = order.reshape(len(bases), views)
-    in_order = np.array_equal(order, np.arange(order.size))
+    # The split's rows, in file order, are the rows of matrix.
+    in_split = row_splits == split
+    position = np.cumsum(in_split) - 1
+    rows = position[order.reshape(len(bases), views)[in_split[first]]]
+    in_order = np.array_equal(rows.ravel(), np.arange(rows.size))
     block = matrix.reshape(*rows.shape, matrix.shape[1]) if in_order else matrix[rows]
-    return Samples(bases, shape_labels, shape_splits, block, None)
+    return shape_splits, _of_split(bases, shape_labels, shape_splits, block, split)
 
 
-def load_dataset(indir, modality: str) -> Dataset:
-    """Read ``manifest.txt`` and the feature file of one modality:
-    ``"sketch"`` reads ``sketches.csv`` and ``"shape"`` reads ``shapes.csv``.
-    No load reads ``noisy.csv``, so the samples' noisy column is None.  The
-    manifest's counts of the modality are checked against its splits column."""
+def load_dataset(indir, modality: str, split: str) -> Dataset:
+    """Read ``manifest.txt`` and the samples of one modality and one split:
+    ``"sketch"`` reads ``sketches.csv`` and ``"shape"`` reads
+    ``shapes.csv``, and the samples hold the rows of ``split``, ``"train"``
+    or ``"test"``, alone.  Every row's text columns are checked, and the
+    manifest's counts of the modality against the split of every sample;
+    only the split's values are parsed.  No load reads ``noisy.csv``, so
+    the samples' noisy column is None."""
     if modality not in ("sketch", "shape"):
         raise ValueError(f"modality must be 'sketch' or 'shape', got {modality!r}")
+    if split not in ("train", "test"):
+        raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     indir = Path(indir)
-    ds = Dataset(load_manifest(indir / "manifest.txt"))
-    if modality == "sketch":
-        samples = ds.sketch = Samples(*_read_rows(indir / "sketches.csv", ds.manifest, "sketch"), None)
-    else:
-        samples = ds.shape = _load_shapes(indir, ds.manifest)
-    for key, expected in ds.manifest.counts.items():
-        kind, _, split = key.partition("_")
-        if kind == modality and (actual := samples.splits.count(split)) != expected:
+    manifest = load_manifest(indir / "manifest.txt")
+    every_split, samples = (_load_sketches if modality == "sketch" else _load_shapes)(indir, manifest, split)
+    for key, expected in manifest.counts.items():
+        kind, _, counted = key.partition("_")
+        if kind == modality and (actual := every_split.count(counted)) != expected:
             raise ValueError(f"{indir / 'manifest.txt'}: manifest count {key} = {expected} but found {actual} records")
-    return ds
+    return Dataset(manifest, **{modality: samples})
 
 
 def save_embeddings(path, samples: Samples, matrix: np.ndarray) -> None:
@@ -546,7 +571,7 @@ def save_embeddings(path, samples: Samples, matrix: np.ndarray) -> None:
 def load_embeddings(path):
     """read_feature_csv's columns of an embedding file, which must have a
     row; every value is finite (read_feature_csv rejects the others)."""
-    columns = read_feature_csv(path)
+    columns = read_feature_csv(path, None)
     if not columns[0]:
         raise ValueError(f"{path}: no embedding rows")
     return columns

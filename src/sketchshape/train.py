@@ -46,7 +46,7 @@ from .model import (
     shape_backward,
     sketch_backward,
 )
-from .ops import _first, normalize_rows_bwd, normalize_rows_fwd, require_finite
+from .ops import BLOCK_ROWS, _first, normalize_rows_bwd, normalize_rows_fwd, require_finite
 from .rng import Rng
 
 
@@ -294,6 +294,17 @@ def _shape_objective(model, centers, views, labels, margins: MarginParams, out) 
     return loss
 
 
+def _prepare_view_blocks(x) -> np.ndarray:
+    """_prepare_views(x) in one preallocated N x V x D array, filled
+    BLOCK_ROWS shapes at a time: canonical order and row normalisation are
+    per shape and per row, so the blocks give the whole split's bits while
+    holding one block's temporaries."""
+    views = np.empty(x.shape)
+    for start in range(0, len(x), BLOCK_ROWS):
+        views[start : start + BLOCK_ROWS] = _prepare_views(x[start : start + BLOCK_ROWS])
+    return views
+
+
 def train_stage1(samples, cfg: TrainConfig, rng: Rng):
     """Sketch uncertainty learning on samples' .features and .labels;
     returns (model, frozen classifier, report).  Aborts with a diagnostic
@@ -341,7 +352,7 @@ def train_stage2(samples, classifier: Classifier, cfg: TrainConfig, rng: Rng):
     model = init_shape_model(cfg, rng)
     params, grads, out = _flat_parameters(model)
     margins = cfg.shape_margins()
-    views = _prepare_views(x)
+    views = _prepare_view_blocks(x)
     # transfer_loss's arithmetic: the frozen centers are normalised once, and
     # the classifier gradient it would discard is never formed.
     centers = normalize_rows_fwd(classifier.weights)

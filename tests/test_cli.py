@@ -362,10 +362,83 @@ class TestEachCommandReadsItsModality:
         (data / "noisy.csv").unlink()
         opened = []
         read = data_mod.read_feature_csv
-        monkeypatch.setattr(data_mod, "read_feature_csv", lambda path: opened.append(path.name) or read(path))
+        monkeypatch.setattr(data_mod, "read_feature_csv",
+                            lambda path, split: opened.append(path.name) or read(path, split))
         argv = [arg.format(cfg=pipeline["cfg"], run=pipeline["run"]) for arg in command]
         assert main(argv + ["--data", str(data), "--out", str(tmp_path / "out")]) == 0
         assert opened == expected
+
+
+def _edit_last_row(path, edit) -> int:
+    """edit(fields) -> fields on the last row of a dataset CSV, which
+    gen-data writes in the test split; returns the row's line number."""
+    lines = path.read_text().splitlines()
+    lines[-1] = ",".join(edit(lines[-1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    return len(lines)
+
+
+def _written(path):
+    """{name: bytes} of the file at ``path`` or of the files under it."""
+    files = [path] if path.is_file() else sorted(f for f in path.rglob("*") if f.is_file())
+    return {str(f.relative_to(path.parent)): f.read_bytes() for f in files}
+
+
+class TestSplitRule:
+    """A command parses the values of its own split alone: a malformed or
+    non-finite value in a test-split row fails only the commands that use
+    the test split, while a fault in a row's text columns fails them all."""
+
+    TRAIN_SPLIT_COMMANDS = {
+        "sketches.csv": [
+            ["train-sketch", "--config", "{cfg}"],
+            ["embed", "--checkpoint", "{run}/sketch.ckpt", "--split", "train"],
+            ["report-uncertainty", "--checkpoint", "{run}/sketch.ckpt", "--split", "train"],
+        ],
+        "shapes.csv": [
+            ["train-shape", "--checkpoint", "{run}/sketch.ckpt", "--config", "{cfg}"],
+            ["embed", "--checkpoint", "{run}/shape.ckpt", "--split", "train"],
+        ],
+    }
+
+    @pytest.mark.parametrize("token", ["nan", "x"])
+    @pytest.mark.parametrize("name", ["sketches.csv", "shapes.csv"])
+    def test_bad_value_in_a_test_row_fails_only_the_test_split(self, pipeline, tmp_path, capsys, name, token):
+        data = shutil.copytree(pipeline["data"], tmp_path / "data")
+        line = _edit_last_row(data / name, lambda f: f[:5] + [token] + f[6:])
+        for i, command in enumerate(self.TRAIN_SPLIT_COMMANDS[name]):
+            argv = [arg.format(cfg=pipeline["cfg"], run=pipeline["run"]) for arg in command]
+            outs = []
+            for run, source in (("clean", pipeline["data"]), ("edited", data)):
+                out = tmp_path / run / str(i)
+                assert main(argv + ["--data", str(source), "--out", str(out)]) == 0, capsys.readouterr().err
+                outs.append(_written(out))
+            assert outs[0] == outs[1], command
+        checkpoint = pipeline["run"] / ("sketch.ckpt" if name == "sketches.csv" else "shape.ckpt")
+        capsys.readouterr()
+        argv = ["embed", "--checkpoint", str(checkpoint), "--data", str(data), "--split", "test",
+                "--out", str(tmp_path / "test.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data / name} line {line}: ") and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize(
+        "name, edit, pattern",
+        [
+            ("sketches.csv", lambda f: f[:1] + ["99"] + f[2:],
+             r"sketches.csv: row sketch_test_0017 has label 99, manifest says 3 classes$"),
+            ("shapes.csv", lambda f: [f[0].rpartition(".v")[0] + ".v99"] + f[1:],
+             r"shapes.csv: shape shape_test_0017 has views \[0, 99\], manifest says 2$"),
+        ],
+        ids=["label-99", "view-99"],
+    )
+    def test_bad_text_column_in_a_test_row_fails_training(self, pipeline, tmp_path, capsys, name, edit, pattern):
+        data = shutil.copytree(pipeline["data"], tmp_path / "data")
+        _edit_last_row(data / name, edit)
+        argv = [arg.format(cfg=pipeline["cfg"], run=pipeline["run"]) for arg in self.TRAIN_SPLIT_COMMANDS[name][0]]
+        assert main(argv + ["--data", str(data), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and re.search(pattern, err), err
 
 
 class TestEmbedParsesOnce:
@@ -392,9 +465,10 @@ class TestCheckpointRoundTrip:
 
 class TestGenData:
     def test_writes_dataset(self, pipeline):
-        sketches, shapes = (load_dataset(pipeline["data"], kind) for kind in ("sketch", "shape"))
-        assert len(sketches.sketches("train").ids) == 36
-        assert len(shapes.shapes("test").ids) == 18
+        sketches = load_dataset(pipeline["data"], "sketch", "train")
+        shapes = load_dataset(pipeline["data"], "shape", "test")
+        assert len(sketches.sketch.ids) == 36
+        assert len(shapes.shape.ids) == 18
         assert sketches.manifest.seed == 5
 
     def test_prints_seed(self, tmp_path, capsys):
@@ -421,7 +495,7 @@ class TestPipeline:
 
     def test_embed_matches_library_encode(self, pipeline):
         _, model, _ = load_checkpoint(pipeline["run"] / "sketch.ckpt", "sketch")
-        sketches = load_dataset(pipeline["data"], "sketch").sketches("test")
+        sketches = load_dataset(pipeline["data"], "sketch", "test").sketch
         ids, _, _, _, matrix = load_embeddings(pipeline["queries"])
         assert ids == sketches.ids
         mu, _ = encode_sketch_batch(model, sketches.features[:1])
@@ -432,7 +506,7 @@ class TestPipeline:
     def test_embed_equals_whole_split_encode_bitwise(self, pipeline, kind, key):
         """embed's file holds the library's whole-split output bit for bit."""
         _, model, _ = load_checkpoint(pipeline["run"] / f"{kind}.ckpt", kind)
-        samples = load_dataset(pipeline["data"], kind).subset(kind, "test")
+        samples = getattr(load_dataset(pipeline["data"], kind, "test"), kind)
         if kind == "sketch":
             encoded, _ = encode_sketch_batch(model, samples.features)
         else:

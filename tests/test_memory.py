@@ -1,12 +1,13 @@
-"""Peak memory of the dataset writer, the shape load, the encoder and the
-ranking, traced with tracemalloc.
+"""Peak memory of the dataset writer, the shape load, stage-2 training, the
+encoder and the ranking, traced with tracemalloc.
 
 numpy and Python report their allocations to tracemalloc, so the traced
 peak of a call bounds the memory it holds at once.  The inputs are fixed
 and built before tracing starts; the bounds are multiples of the data a
 call must hold, so they fail if the writer expands the view rows' columns,
-the shape load copies the view matrix, the encoder holds more than a few
-blocks of activations, or a ranking block holds a second copy of its
+the shape load copies the view matrix or holds the other split's, stage 2
+prepares its views in one piece, the encoder holds more than a few blocks
+of activations, or a ranking block holds a second copy of its
 similarities.
 """
 
@@ -15,11 +16,12 @@ import tracemalloc
 import numpy as np
 
 from sketchshape.data import _POOL_MIN_VALUES, generate, load_dataset, save_dataset
+from sketchshape.losses import Classifier
 from sketchshape.metrics import evaluate
 from sketchshape.model import encode_shape_batch, init_shape_model
 from sketchshape.ops import BLOCK_ROWS
 from sketchshape.rng import Rng
-from sketchshape.train import TrainConfig
+from sketchshape.train import TrainConfig, train_stage2
 
 
 def _traced_peak(call) -> int:
@@ -60,16 +62,43 @@ def test_save_dataset_formats_one_block_of_view_rows_at_a_time(tmp_path):
     assert _traced_peak(lambda: save_dataset(ds, tmp_path)) <= 0.8 * feature_bytes
 
 
-def test_shape_load_holds_one_copy_of_the_view_matrix(tmp_path):
-    """A shapes.csv in the writer's order loads as a view of the parsed
-    matrix: about 1.55 times the view bytes, the rest being ids and
-    per-row bookkeeping.  Gathering a second copy of the block takes it
-    to about 2.5."""
-    ds = generate(10, 30, 30, 64, 12, 0.0, "ambiguous", 1)
+def _train_shape_load_peak(tmp_path, train_per_class: int, test_per_class: int) -> float:
+    """Traced peak of a train-split shape load, in train view bytes."""
+    ds = generate(10, train_per_class, test_per_class, 64, 12, 0.0, "ambiguous", 1)
     save_dataset(ds, tmp_path)
-    view_bytes = ds.shape.features.nbytes
+    view_bytes = ds.shapes("train").features.nbytes
     del ds
-    assert _traced_peak(lambda: load_dataset(tmp_path, "shape")) <= 2.0 * view_bytes
+    return _traced_peak(lambda: load_dataset(tmp_path, "shape", "train")) / view_bytes
+
+
+def test_shape_load_holds_one_copy_of_the_view_matrix(tmp_path):
+    """A shapes.csv in the writer's order loads a split as a view of the
+    parsed matrix: about 1.9 times the split's view bytes, the rest being
+    ids and bookkeeping of every row of both splits.  Gathering a second
+    copy of the block takes it to about 2.7, and holding both splits'
+    values to about 3.1."""
+    assert _train_shape_load_peak(tmp_path, 30, 30) <= 2.4
+
+
+def test_shape_load_holds_only_its_split(tmp_path):
+    """A train-split load parses the values of the train rows alone: about
+    3.5 times their view bytes when the test split is five times larger,
+    the rest being the text columns of every row.  Holding both splits'
+    values, as a load of every row does, takes it to about 9.2."""
+    assert _train_shape_load_peak(tmp_path, 10, 50) <= 5.0
+
+
+def test_stage2_prepares_its_views_a_block_at_a_time():
+    """One epoch of stage 2 holds the prepared views, one copy of the
+    split's, and one block of shapes' temporaries: about 1.45 times the
+    split's view bytes.  Preparing the whole split in one call takes it to
+    about 3.1."""
+    ds = generate(10, 100, 1, 64, 12, 0.0, "ambiguous", 1)
+    shapes = ds.shapes("train")
+    cfg = TrainConfig(feature_dim=64, hidden=(64, 64), embed_dim=32, classes=10, batch_size=64, max_epochs=1)
+    classifier = Classifier(Rng(2).normal_matrix(10, 32)).freeze()
+    peak = _traced_peak(lambda: train_stage2(shapes, classifier, cfg, Rng(3)))
+    assert peak <= 2.0 * shapes.features.nbytes
 
 
 def _evaluate_peak(classes: int, count: int = 1000, items: int = 10000) -> float:

@@ -427,6 +427,18 @@ class TestStage2:
         for a, b in zip(_parameters(model), _parameters(fresh)):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("count", [1, 127, 128, 129, 300])
+    def test_views_prepared_in_blocks_have_the_whole_split_bits(self, count):
+        """train_stage2 prepares its views BLOCK_ROWS shapes at a time into
+        one array, which holds one _prepare_views call on the whole split
+        bit for bit, at a short last block too.  A repeated view and a zero
+        view reach the canonical order's ties and the norm's floor."""
+        x = Rng(count).normal_matrix(count * 5, 7).reshape(count, 5, 7)
+        x[0, 3] = x[0, 1]
+        x[-1, 2] = 0.0
+        got = train_mod._prepare_view_blocks(x)
+        assert got.shape == x.shape and got.tobytes() == _prepare_views(x).tobytes()
+
     def test_shapes_cluster_to_their_centers(self):
         ds, cfg, _, classifier = self._stage1()
         shapes = ds.shapes("train")
