@@ -13,8 +13,8 @@ Files (all ASCII text, floats serialised with repr so round-trips are
 bitwise; a non-ASCII byte is an error naming the file and the line):
   manifest.txt   key=value summary of the generation parameters and counts
   sketches.csv   id,label,split,modality,v0..v{dim-1}, one row per sketch
-  shapes.csv     same header, one row per view, view rows share a common id
-                 prefix with a ".vNN" suffix
+  shapes.csv     same header, one row per view: each shape's views rows in
+                 order, ids <id>.v00 to <id>.v{views-1:02d}
   noisy.csv      id,noisy for every sketch; written, never read
 
 A feature file (the two above, and the embedding files) is held in memory
@@ -29,13 +29,13 @@ process may use more than one CPU; the bytes are the same either way.
 
 A load reads one modality and one split (``load_dataset(dir, modality,
 split)``), and parses only that split's values: every row's text columns
-(ASCII, field count, label, modality, a shape's view numbering and its
-views' agreement) and the manifest's counts of both splits are checked,
-but a malformed or non-finite value in a row of the other split goes
-unread.  The loaded samples (``Samples``) hold that split alone, a
-shape's view rows as one N x views x dim block: shapes.csv is written from
-that block, views rows per sample, and loaded into it as a view of the
-parsed matrix when the split's rows come in the writer's order.
+(ASCII, field count, label, modality, the writer's layout of a shape's
+view rows and their agreement) and the manifest's counts of both splits
+are checked, but a malformed or non-finite value in a row of the other
+split goes unread.  The loaded samples (``Samples``) hold that split
+alone, a shape's view rows as one N x views x dim block: shapes.csv is
+written from that block, views rows per sample, and loaded into it as a
+view of the parsed matrix; a file in any other layout is malformed.
 ``Dataset.subset`` copies one split of generate's datasets.
 """
 
@@ -491,50 +491,35 @@ def _load_sketches(indir: Path, manifest: Manifest, split: str):
 
 
 def _load_shapes(indir: Path, manifest: Manifest, split: str):
-    """(the split of every shape, the shapes of ``split``).  A shape is one
-    sample from its view rows, which must agree on label and split and be
-    numbered .v00 to the manifest's view count; every shape is checked.
-    Each row gets its shape's index (shapes in order of first appearance)
-    and its view number, and one stable lexsort groups the rows.  The
-    split's N x views x dim block is a view of the parsed matrix when its
-    rows come in the writer's order (each shape's views together, .v00
-    first), and is gathered with one index array otherwise."""
+    """(the split of every shape, the shapes of ``split``).  shapes.csv must
+    hold the layout write_feature_csv writes: each shape as the manifest's
+    ``views`` consecutive rows with ids <id>.v00 to <id>.v{views-1:02d}, in
+    that order, which agree on label and split, and no shape id twice; the
+    first row at fault raises ValueError.  A split's rows are then whole
+    shapes in file order, so its N x views x dim block is a view of the
+    parsed matrix."""
     path = indir / "shapes.csv"
     ids, labels, splits, matrix = _read_rows(path, manifest, "shape", split)
     views = manifest.views
-    index, first, shape_of, view_of = {}, array("q"), array("q"), array("q")
-    for i, sample_id in enumerate(ids):
-        base, _, suffix = sample_id.rpartition(".v")
-        if not base or not suffix.isdigit():
-            raise ValueError(f"{path}: view row id {sample_id!r} lacks a .vNN suffix")
-        if base not in index:
-            index[base] = len(first)
-            first.append(i)
-        shape_of.append(index[base])
-        # A view number past the last is a fault whatever its size; capped, it fits an int64.
-        view_of.append(min(int(suffix), views))
-    bases = list(index)
-    first, shape_of, view_of = (np.frombuffer(column, dtype=np.int64) for column in (first, shape_of, view_of))
-    shape_labels, shape_splits = labels[first], [splits[i] for i in first.tolist()]
-    row_splits = np.array(splits, dtype=object)
-    disagree = np.flatnonzero((labels != shape_labels[shape_of])
-                              | (row_splits != np.array(shape_splits, dtype=object)[shape_of]))
-    if disagree.size:
-        i = disagree[0]
-        raise ValueError(f"{path}: view row {ids[i]} disagrees with shape {bases[shape_of[i]]} on label or split")
-    order = np.lexsort((view_of, shape_of))
-    if order.size != len(bases) * views or (view_of[order].reshape(-1, views) != np.arange(views)).any():
-        found = [[] for _ in bases]
-        for sample_id, k in zip(ids, shape_of.tolist()):
-            found[k].append(int(sample_id.rpartition(".v")[2]))
-        k = next(k for k, numbers in enumerate(found) if sorted(numbers) != list(range(views)))
-        raise ValueError(f"{path}: shape {bases[k]} has views {sorted(found[k])}, manifest says {views}")
-    # The split's rows, in file order, are the rows of matrix.
-    in_split = row_splits == split
-    position = np.cumsum(in_split) - 1
-    rows = position[order.reshape(len(bases), views)[in_split[first]]]
-    in_order = np.array_equal(rows.ravel(), np.arange(rows.size))
-    block = matrix.reshape(*rows.shape, matrix.shape[1]) if in_order else matrix[rows]
+    bases = [sample_id.rpartition(".v")[0] for sample_id in ids[::views]]
+    # A manifest's view count may exceed the rows, by any amount; one suffix
+    # past the last row is enough to report the shortfall.
+    suffixes = [f".v{j:02d}" for j in range(min(views, len(ids) + 1))]
+    expected = [base + suffix for base in bases for suffix in suffixes]
+    if ids != expected:
+        i = next((i for i, (got, want) in enumerate(zip(ids, expected)) if got != want), len(ids))
+        got = f"row {ids[i]}" if i < len(ids) else "the end of the file"
+        raise ValueError(f"{path}: expected view row {expected[i]} ({views} rows per shape, in order), got {got}")
+    if len(set(bases)) != len(bases):
+        first = {}
+        k = next(k for k, base in enumerate(bases) if first.setdefault(base, k) != k)
+        raise ValueError(f"{path}: row {ids[k * views]} starts shape {bases[k]} a second time")
+    shape_labels, shape_splits = labels[::views], splits[::views]
+    split_rows = [s for s in shape_splits for _ in suffixes]
+    if splits != split_rows or (labels.reshape(-1, views) != shape_labels[:, None]).any():
+        i = next(i for i, label in enumerate(labels) if (label, splits[i]) != (labels[i - i % views], split_rows[i]))
+        raise ValueError(f"{path}: view row {ids[i]} disagrees with shape {bases[i // views]} on label or split")
+    block = matrix.reshape(-1, views, matrix.shape[1])
     return shape_splits, _of_split(bases, shape_labels, shape_splits, block, split)
 
 

@@ -35,7 +35,8 @@ row, which yields their ranks in ascending order.  Where no two keys of a
 row are equal these ranks are exact.  A row in which two sorted keys are
 equal (+0.0 and -0.0 included) falls back to a stable argsort, which keeps
 equal similarities in gallery order.  Beyond the similarities themselves
-a block holds one sorted copy of them and a boolean relevance mask.
+a block holds a boolean relevance mask and one sorted row at a time, and
+the previous block's similarities are freed before the next product.
 Embeddings must be finite: NaN compares unequal to itself and would hide
 a tie.  Exact rescalings of a row, such as (1, 0) and (2, 0), tie too,
 since ``ops.normalize_rows_fwd`` turns them into the same unit row.
@@ -127,17 +128,17 @@ def _blocks(queries, gallery, query_labels, gallery_labels):
         keys = (block @ unit_gallery_t)[: stop - start, : len(gallery)]
         np.negative(keys, out=keys)
         yield start, keys, gallery_labels == query_labels[start:stop, None]
+        del keys
 
 
 def _relevant_ranks(keys, rel):
     """(col, totals) for a block from ``_blocks``: ``totals[i]`` is the
     number of row i's relevant items, and ``col`` holds their ascending
     0-based ranks, row by row, ties ranked by gallery position."""
-    ordered = np.sort(keys, axis=1)
-    tied = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1).tolist()
     ranks = []
-    for row_keys, row_sorted, row_rel, row_tied in zip(keys, ordered, rel, tied):
-        if row_tied:
+    for row_keys, row_rel in zip(keys, rel):
+        row_sorted = np.sort(row_keys)
+        if (row_sorted[1:] == row_sorted[:-1]).any():
             ranks.append(np.flatnonzero(row_rel[np.argsort(row_keys, kind="stable")]))
         else:
             ranks.append(np.searchsorted(row_sorted, np.sort(row_keys[row_rel])))
@@ -299,6 +300,7 @@ def evaluate(queries, gallery, query_labels, gallery_labels, query_ids=None) -> 
     scores, totals, pr_blocks = [], [], []
     for _, keys, rel in _blocks(queries, gallery, query_labels, gallery_labels):
         col, block_totals = _relevant_ranks(keys, rel)
+        del keys, rel
         metrics, pr = _score_block(col, block_totals[block_totals > 0], discounts)
         scores += metrics
         totals.append(block_totals)

@@ -428,7 +428,8 @@ class TestSplitRule:
             ("sketches.csv", lambda f: f[:1] + ["99"] + f[2:],
              r"sketches.csv: row sketch_test_0017 has label 99, manifest says 3 classes$"),
             ("shapes.csv", lambda f: [f[0].rpartition(".v")[0] + ".v99"] + f[1:],
-             r"shapes.csv: shape shape_test_0017 has views \[0, 99\], manifest says 2$"),
+             r"shapes.csv: expected view row shape_test_0017.v01 \(2 rows per shape, in order\), "
+             r"got row shape_test_0017.v99$"),
         ],
         ids=["label-99", "view-99"],
     )
@@ -439,6 +440,71 @@ class TestSplitRule:
         assert main(argv + ["--data", str(data), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1 and re.search(pattern, err), err
+
+
+def _interleave_first_two_shapes(rows):
+    rows[:4] = [rows[0], rows[2], rows[1], rows[3]]
+
+
+def _swap_first_two_views(rows):
+    rows[:2] = rows[1::-1]
+
+
+def _unpadded_view_number(rows):
+    rows[1] = rows[1].replace(".v01,", ".v1,", 1)
+
+
+def _repeat_first_shape(rows):
+    rows[2:4] = [row.replace("shape_train_0001.", "shape_train_0000.", 1) for row in rows[2:4]]
+
+
+def _split_change_in_a_shape(rows):
+    rows[1] = rows[1].replace(",train,", ",test,", 1)
+
+
+class TestShapeLayout:
+    """shapes.csv loads only in the layout the writer writes: each shape's
+    view rows together, .v00 first, with the writer's zero padding, no
+    shape id twice and one label and split per shape.  Any other layout
+    fails a load of either split, and every shape command, naming the file
+    and the first row at fault."""
+
+    @pytest.mark.parametrize(
+        "edit, pattern",
+        [
+            (_interleave_first_two_shapes,
+             r"shapes.csv: expected view row shape_train_0000.v01 \(2 rows per shape, in order\), "
+             r"got row shape_train_0001.v00$"),
+            (_swap_first_two_views,
+             r"shapes.csv: expected view row shape_train_0000.v00 \(2 rows per shape, in order\), "
+             r"got row shape_train_0000.v01$"),
+            (_unpadded_view_number,
+             r"shapes.csv: expected view row shape_train_0000.v01 \(2 rows per shape, in order\), "
+             r"got row shape_train_0000.v1$"),
+            (_repeat_first_shape, r"shapes.csv: row shape_train_0000.v00 starts shape shape_train_0000 a second time$"),
+            (_split_change_in_a_shape,
+             r"shapes.csv: view row shape_train_0000.v01 disagrees with shape shape_train_0000 on label or split$"),
+        ],
+        ids=["interleaved", "v01-before-v00", "unpadded-v1", "repeated-shape", "split-change"],
+    )
+    def test_other_layouts_rejected(self, pipeline, tmp_path, capsys, edit, pattern):
+        data = shutil.copytree(pipeline["data"], tmp_path / "data")
+        header, *rows = (data / "shapes.csv").read_text().splitlines()
+        edit(rows)
+        (data / "shapes.csv").write_text("\n".join([header, *rows]) + "\n")
+        for split in ("train", "test"):
+            with pytest.raises(ValueError, match=pattern):
+                load_dataset(data, "shape", split)
+        commands = [
+            ["train-shape", "--checkpoint", str(pipeline["run"] / "sketch.ckpt"), "--config", str(pipeline["cfg"])],
+            ["embed", "--checkpoint", str(pipeline["run"] / "shape.ckpt")],
+        ]
+        for i, command in enumerate(commands):
+            out = tmp_path / "out" / str(i)
+            assert main(command + ["--data", str(data), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1 and re.search(pattern, err), err
+            assert not out.exists()
 
 
 class TestEmbedParsesOnce:

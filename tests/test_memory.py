@@ -8,7 +8,7 @@ call must hold, so they fail if the writer expands the view rows' columns,
 the shape load copies the view matrix or holds the other split's, stage 2
 prepares its views in one piece, the encoder holds more than a few blocks
 of activations, or a ranking block holds a second copy of its
-similarities.
+similarities or outlives the next block's product.
 """
 
 import tracemalloc
@@ -72,7 +72,7 @@ def _train_shape_load_peak(tmp_path, train_per_class: int, test_per_class: int) 
 
 
 def test_shape_load_holds_one_copy_of_the_view_matrix(tmp_path):
-    """A shapes.csv in the writer's order loads a split as a view of the
+    """shapes.csv, in the writer's layout, loads a split as a view of the
     parsed matrix: about 1.9 times the split's view bytes, the rest being
     ids and bookkeeping of every row of both splits.  Gathering a second
     copy of the block takes it to about 2.7, and holding both splits'
@@ -111,16 +111,17 @@ def _evaluate_peak(classes: int, count: int = 1000, items: int = 10000) -> float
     return peak / (BLOCK_ROWS * len(gallery) * 8)
 
 
-def test_evaluate_holds_a_block_its_keys_and_their_sorted_copy():
-    """A block's similarity keys and their sorted copy, beside the gallery
-    and small masks: negating the product into a second array takes the
-    peak to about four blocks."""
-    assert _evaluate_peak(100) <= 3.5
+def test_evaluate_holds_one_block_of_similarities():
+    """A block's similarity keys, beside the gallery, one sorted row and
+    small masks: about 1.5 blocks.  Sorting the whole block into a copy
+    takes it to about 2.5, and keeping the previous block's keys alive
+    while the next product is formed to about 2.6."""
+    assert _evaluate_peak(100) <= 1.8
 
 
 def test_evaluate_frees_the_gallery_dedup_copies():
     """With 10 classes each query has 1000 relevant items, and the traced
-    peak stays within the 3.5 blocks of the 100-class case.  The name dates
+    peak stays within 3.5 blocks, as in the 100-class case.  The name dates
     from the gallery deduplication, which is gone: a deduplicated copy kept
     alive read 3.08 blocks here, under the bound, so the test no longer
     detects one."""
