@@ -23,9 +23,11 @@ modalities (interned strings, one object per distinct value), and one
 float64 rows x dim matrix.  It is read in blocks of rows: numpy's C parser
 reads a block's values, which gives float()'s bits, and a block with any
 fault is re-read line by line with float(), so the error names the file
-and the line of the first fault.  It is written in blocks of rows too,
-formatted in a pool of worker processes when the write is large and the
-process may use more than one CPU; the bytes are the same either way.
+and the line of the first fault.  It is written in blocks of rows too;
+a large write is cut into one contiguous run of samples per CPU the
+process may use, a forked process formats each run after the first into
+a part file, and the parts are appended in order, so the bytes are the
+same either way.
 
 A load reads one modality and one split (``load_dataset(dir, modality,
 split)``), and parses only that split's values: every row's text columns
@@ -41,9 +43,11 @@ view of the parsed matrix; a file in any other layout is malformed.
 
 import math
 import os
+import shutil
+import signal
 import sys
+import tempfile
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -67,7 +71,7 @@ _MANIFEST_KEYS = ("classes", "feature_dim", "views", "noise_frac", "noise_mode",
                   *(f"count_{kind}_{split}" for kind in ("sketch", "shape") for split in ("train", "test")))
 
 # Feature files are parsed and formatted in blocks of this many rows, and a
-# write of at least _POOL_MIN_VALUES values may use a pool of processes.
+# write of at least _POOL_MIN_VALUES values is shared between processes.
 _BLOCK_ROWS = 256
 _POOL_MIN_VALUES = 1 << 18
 
@@ -210,27 +214,66 @@ def generate(
 def write_feature_csv(path, ids, labels, splits, modalities, matrix) -> None:
     """One row per sample: the four text columns, then the row of
     ``matrix`` (rows x dim) in repr.  An N x views x dim ``matrix`` writes
-    ``views`` rows per sample, with ids ``<id>.vNN`` (shapes.csv).  Rows
-    are formatted in blocks; a write of at least _POOL_MIN_VALUES values,
-    in a process that may run on more than one CPU, formats them in a
-    pool of worker processes and writes the same bytes."""
+    ``views`` rows per sample, with ids ``<id>.vNN`` (shapes.csv).
+
+    Rows are formatted a block at a time.  A write of at least
+    _POOL_MIN_VALUES values is cut into one contiguous run of samples per
+    CPU the process may use (a share); a process forked for each share
+    after the first formats its run into a temporary part file beside
+    ``path``, while this process formats the first run into ``path`` and
+    then appends the parts in order, so the bytes are those of one run.
+    The children are forked before ``path`` is opened and leave by
+    os._exit, so they flush no buffer they inherited, and they only
+    format the values they inherited and take no lock another thread may
+    hold.  A share that fails raises OSError naming ``path``; no part
+    file or child outlives the call."""
     rows = matrix.shape[0]
     lengths = [len(column) for column in (ids, labels, splits, modalities)]
     if lengths != [rows] * 4:
         raise ValueError(f"ids, labels, splits and modalities have {lengths} entries, matrix has {rows} rows")
+    columns = (ids, labels, splits, modalities, matrix)
+    shares = _usable_cpus() if matrix.size >= _POOL_MIN_VALUES else 1
+    bounds = [rows * share // shares for share in range(shares + 1)]
+    path, owner, parts, children = Path(path), os.getpid(), [], []
+    try:
+        for share in range(1, shares):
+            fd, part = tempfile.mkstemp(".part", f".{path.name}.", path.parent)
+            os.close(fd)
+            parts.append(part)
+            children.append(os.fork())
+            if children[-1] == 0:
+                with open(part, "w", encoding="ascii") as fh:
+                    _write_rows(fh, columns, bounds[share], bounds[share + 1])
+                os._exit(0)
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("id,label,split,modality," + ",".join(f"v{i}" for i in range(matrix.shape[-1])) + "\n")
+            _write_rows(fh, columns, 0, bounds[1])
+            for share, part in enumerate(parts, start=1):
+                status = os.waitpid(children[0], 0)[1]
+                children.pop(0)
+                if status:
+                    raise OSError(f"{path}: the process formatting rows {bounds[share]} to {bounds[share + 1]} "
+                                  f"failed with exit code {os.waitstatus_to_exitcode(status)}")
+                fh.flush()
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+    finally:
+        if os.getpid() != owner:
+            os._exit(1)  # a share's own failure: the owner reports it, and no child traceback
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in parts:
+            os.remove(part)
+
+
+def _write_rows(fh, columns, start, stop) -> None:
+    """Write the rows of samples start to stop of the five columns to fh,
+    formatted a block of _BLOCK_ROWS rows (whole samples) at a time."""
+    matrix = columns[-1]
     step = max(1, _BLOCK_ROWS // matrix.shape[1]) if matrix.ndim == 3 else _BLOCK_ROWS
-    blocks = (
-        tuple(column[start : start + step] for column in (ids, labels, splits, modalities, matrix))
-        for start in range(0, rows, step)
-    )
-    workers = _usable_cpus()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("id,label,split,modality," + ",".join(f"v{i}" for i in range(matrix.shape[-1])) + "\n")
-        if workers > 1 and matrix.size >= _POOL_MIN_VALUES:
-            _write_pooled(fh, blocks, workers)
-        else:
-            for block in blocks:
-                fh.write(_format_rows(*block))
+    for first in range(start, stop, step):
+        fh.write(_format_rows(*(column[first : min(first + step, stop)] for column in columns)))
 
 
 def _format_rows(ids, labels, splits, modalities, matrix) -> str:
@@ -246,23 +289,6 @@ def _format_rows(ids, labels, splits, modalities, matrix) -> str:
         f"{sample_id},{label},{split},{modality},{','.join(map(repr, values))}\n"
         for sample_id, label, split, modality, values in zip(ids, labels, splits, modalities, matrix.tolist())
     )
-
-
-def _write_pooled(fh, blocks, workers) -> None:
-    """Write _format_rows of each block to fh in order, formatted by
-    forked workers with at most 2 * workers blocks in flight.  Forking
-    spares each worker the import of numpy; the workers only format the
-    floats and strings they are sent and take no lock the parent held."""
-    import multiprocessing
-
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        pending = deque()
-        for block in blocks:
-            pending.append(pool.apply_async(_format_rows, block))
-            if len(pending) > 2 * workers:
-                fh.write(pending.popleft().get())
-        for result in pending:
-            fh.write(result.get())
 
 
 def _usable_cpus() -> int:
@@ -505,19 +531,22 @@ def _load_shapes(indir: Path, manifest: Manifest, split: str):
     # A manifest's view count may exceed the rows, by any amount; one suffix
     # past the last row is enough to report the shortfall.
     suffixes = [f".v{j:02d}" for j in range(min(views, len(ids) + 1))]
-    expected = [base + suffix for base in bases for suffix in suffixes]
-    if ids != expected:
-        i = next((i for i, (got, want) in enumerate(zip(ids, expected)) if got != want), len(ids))
+    # Row i is view i % views of the shape its group's first row names.
+    i = next((i for i, sample_id in enumerate(ids) if sample_id != bases[i // views] + suffixes[i % views]),
+             len(ids) if len(ids) % views else None)
+    if i is not None:
         got = f"row {ids[i]}" if i < len(ids) else "the end of the file"
-        raise ValueError(f"{path}: expected view row {expected[i]} ({views} rows per shape, in order), got {got}")
+        raise ValueError(f"{path}: expected view row {bases[i // views]}{suffixes[i % views]} ({views} rows per "
+                         f"shape, in order), got {got}")
     if len(set(bases)) != len(bases):
         first = {}
         k = next(k for k, base in enumerate(bases) if first.setdefault(base, k) != k)
         raise ValueError(f"{path}: row {ids[k * views]} starts shape {bases[k]} a second time")
     shape_labels, shape_splits = labels[::views], splits[::views]
-    split_rows = [s for s in shape_splits for _ in suffixes]
-    if splits != split_rows or (labels.reshape(-1, views) != shape_labels[:, None]).any():
-        i = next(i for i, label in enumerate(labels) if (label, splits[i]) != (labels[i - i % views], split_rows[i]))
+    if any(splits[k * views : (k + 1) * views].count(s) != views for k, s in enumerate(shape_splits)) or (
+            labels.reshape(-1, views) != shape_labels[:, None]).any():
+        i = next(i for i, (label, s) in enumerate(zip(labels, splits))
+                 if (label, s) != (shape_labels[i // views], shape_splits[i // views]))
         raise ValueError(f"{path}: view row {ids[i]} disagrees with shape {bases[i // views]} on label or split")
     block = matrix.reshape(-1, views, matrix.shape[1])
     return shape_splits, _of_split(bases, shape_labels, shape_splits, block, split)

@@ -1,6 +1,11 @@
 """Synthetic dataset generator and file formats."""
 
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,33 +499,171 @@ class TestEmbeddingFiles:
 
     @pytest.mark.parametrize("dtype, views", [(np.float64, None), (np.float32, None), (np.float64, 12)],
                              ids=["float64", "float32", "float64-12-views"])
-    def test_pooled_write_has_the_serial_bytes(self, tmp_path, monkeypatch, dtype, views):
-        """A write above the pool's size floor gives the same bytes from a
-        pool as in-process, and a one-CPU process never starts the pool;
-        an N x views x dim matrix too."""
+    def test_share_writes_have_the_one_share_bytes(self, tmp_path, monkeypatch, dtype, views):
+        """A write above the share floor gives the same bytes in 2 and 3
+        shares as in one, also when the share count does not divide the
+        samples, and an N x views x dim matrix too, as does a write in as
+        many shares as the process may use CPUs; it forks one process per
+        extra share and leaves no part file.  A write below the floor forks
+        nothing, whatever the CPU count."""
         per_sample = views or 1
-        rows = _POOL_MIN_VALUES // (8 * per_sample) + 3
+        rows = _POOL_MIN_VALUES // (8 * per_sample) + 5
+        assert rows % 2 and rows % 3
         matrix = Rng(17).uniform_matrix(rows * per_sample, 8, -1.0, 1.0)
         matrix[:, :4] = [-0.0, 5e-324, 1e16, 0.1]
         matrix = matrix.astype(dtype)
         if views:
             matrix = matrix.reshape(rows, views, 8)
         columns = [f"s{i}" for i in range(rows)], list(range(rows)), ["train"] * rows, ["shape"] * rows
-        pooled = []
-        write_pooled = data._write_pooled
-        monkeypatch.setattr(data, "_write_pooled", lambda *args: pooled.append(1) or write_pooled(*args))
-        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
-        write_feature_csv(tmp_path / "pooled.csv", *columns, matrix)
-        assert pooled == [1]
+        forks = _count_forks(monkeypatch)
+        # One share per CPU this process may use (one under taskset -c 0).
+        write_feature_csv(tmp_path / "0.csv", *columns, matrix)
+        assert len(forks) == data._usable_cpus() - 1
+        for shares in (1, 2, 3):
+            monkeypatch.setattr(data, "_usable_cpus", lambda: shares)
+            forks.clear()
+            write_feature_csv(tmp_path / f"{shares}.csv", *columns, matrix)
+            assert len(forks) == shares - 1
+            assert sorted(p.name for p in tmp_path.iterdir()) == [f"{s}.csv" for s in range(shares + 1)]
+        for shares in (0, 2, 3):
+            assert (tmp_path / f"{shares}.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+        assert read_feature_csv(tmp_path / "3.csv", None)[4].tobytes() == matrix.astype(np.float64).tobytes()
+        below = _POOL_MIN_VALUES // (8 * per_sample) - 1
+        forks.clear()
+        write_feature_csv(tmp_path / "below.csv", *(column[:below] for column in columns), matrix[:below])
+        assert forks == []
 
-        def no_pool(*args):
-            raise AssertionError("a one-CPU write started a pool")
 
-        monkeypatch.setattr(data, "_write_pooled", no_pool)
-        monkeypatch.setattr(data, "_usable_cpus", lambda: 1)
-        write_feature_csv(tmp_path / "serial.csv", *columns, matrix)
-        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-        assert read_feature_csv(tmp_path / "pooled.csv", None)[4].tobytes() == matrix.astype(np.float64).tobytes()
+def _count_forks(monkeypatch) -> list:
+    """A list that gets the pid of each process os.fork starts."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _assert_reaped(pids) -> None:
+    """Each of the forked ``pids`` has exited and been waited for."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _fail_in(monkeypatch, where: str, exc) -> None:
+    """Make _format_rows raise ``exc`` in the forked share processes
+    (``where = "child"``) or in the writing process alone ("owner")."""
+    owner, format_rows = os.getpid(), data._format_rows
+
+    def format_or_raise(*block):
+        if (os.getpid() == owner) == (where == "owner"):
+            raise exc
+        return format_rows(*block)
+
+    monkeypatch.setattr(data, "_format_rows", format_or_raise)
+
+
+class TestShareFailures:
+    """A share that fails, or an interrupt of the writing process, leaves
+    no part file and no child process behind."""
+
+    ROWS = _POOL_MIN_VALUES // 8 + 5
+
+    def _write(self, path):
+        rows = self.ROWS
+        matrix = Rng(19).uniform_matrix(rows, 8, -1.0, 1.0)
+        write_feature_csv(path, [f"s{i}" for i in range(rows)], [0] * rows, ["train"] * rows, ["sketch"] * rows,
+                          matrix)
+
+    @pytest.mark.parametrize("shares", [2, 3])
+    def test_failed_share_raises_oserror_naming_the_file(self, tmp_path, monkeypatch, shares):
+        monkeypatch.setattr(data, "_usable_cpus", lambda: shares)
+        forks = _count_forks(monkeypatch)
+        _fail_in(monkeypatch, "child", RuntimeError("a share fails"))
+        path = tmp_path / "f.csv"
+        with pytest.raises(OSError, match=re.escape(f"{path}: the process formatting rows ")):
+            self._write(path)
+        assert len(forks) == shares - 1
+        _assert_reaped(forks)
+        assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+
+    def test_interrupt_kills_the_shares_and_removes_their_parts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+        forks = _count_forks(monkeypatch)
+        _fail_in(monkeypatch, "owner", KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            self._write(tmp_path / "f.csv")
+        assert len(forks) == 2
+        _assert_reaped(forks)
+        assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+
+
+# gen-data arguments whose shapes.csv (400 x 12 x 64 values) is above the
+# share floor and whose sketches.csv is below it.
+GEN_DATA_ARGS = ["--classes", "4", "--train-per-class", "80", "--test-per-class", "20", "--dim", "64", "--views", "12"]
+
+# Runs cli.main on argv[4:] with _usable_cpus() = argv[1] and a line of
+# text waiting in the buffer of an open file, argv[3]; with argv[2] = "fail",
+# every forked share process raises in _format_rows.
+GEN_DATA_SCRIPT = """
+import os, sys
+from sketchshape import cli, data
+data._usable_cpus = lambda: int(sys.argv[1])
+owner, format_rows = os.getpid(), data._format_rows
+def format_or_fail(*block):
+    if sys.argv[2] == "fail" and os.getpid() != owner:
+        raise RuntimeError("a share fails")
+    return format_rows(*block)
+data._format_rows = format_or_fail
+with open(sys.argv[3], "w") as log:
+    log.write("buffered\\n")
+    status = cli.main(sys.argv[4:])
+raise SystemExit(status)
+"""
+
+
+def _gen_data(out, shares: int, mode: str = "ok"):
+    """gen-data in a child interpreter, stdout and stderr piped and
+    PYTHONUNBUFFERED unset, so its printed lines wait in a buffer while the
+    shares fork, as does the line of ``out``.log."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-c", GEN_DATA_SCRIPT, str(shares), mode, f"{out}.log", "gen-data", "--out", str(out),
+            *GEN_DATA_ARGS]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_gen_data_in_shares_prints_each_line_once(tmp_path):
+    """Two shares print what one share prints, each [gen-data] line once,
+    and write the same files; a child that flushed an inherited buffer
+    would print the lines before the fork twice, or write the log's line
+    twice."""
+    runs = {shares: _gen_data(tmp_path / str(shares), shares) for shares in (1, 2)}
+    for shares, done in runs.items():
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        assert (tmp_path / f"{shares}.log").read_text() == "buffered\n"
+    one, two = (runs[s].stdout.replace(str(tmp_path / str(s)), "OUT").splitlines() for s in (1, 2))
+    assert two == one and len(two) == len(set(two)) >= 3 and all(line.startswith("[gen-data]") for line in two)
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == ["manifest.txt", "noisy.csv", "shapes.csv", "sketches.csv"]
+    assert sorted(p.name for p in (tmp_path / "2").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
+
+
+def test_gen_data_with_a_failed_share_exits_2(tmp_path):
+    """One error: line naming shapes.csv, no traceback from either
+    process, and no part file left beside it."""
+    done = _gen_data(tmp_path / "d", 2, "fail")
+    assert done.returncode == 2
+    [line] = done.stderr.splitlines()
+    assert line.startswith(f"error: {tmp_path / 'd' / 'shapes.csv'}: the process formatting rows "), line
+    assert not [p.name for p in (tmp_path / "d").iterdir() if p.name.endswith(".part")]
 
 
 # Finite float64 values, with the edge cases of repr round-trips mixed in.
@@ -594,6 +737,9 @@ def _refuse(*args, **kwargs):
 @example(dim=2, rows=2, edits=[(1, 5, "2.0\x1d")])
 @example(dim=2, rows=2, edits=[(1, 4, "2\x1e")])
 @example(dim=2, rows=2, edits=[(1, 5, "\x1f2")])
+# numpy reads these blocks; a reader that lost the sign of -0.0 would differ.
+@example(dim=2, rows=2, edits=[(1, 4, "-0.0")])
+@example(dim=1, rows=_BLOCK_ROWS + 1, edits=[(_BLOCK_ROWS, 4, "-0.0"), (0, 4, "-0.0")])
 # Every warning the reader raises is an error.  Reporting a failed example
 # imports a module that raises a DeprecationWarning; as an error it would be
 # a pytest INTERNALERROR that ends the run, so that one warning is ignored

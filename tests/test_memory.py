@@ -4,18 +4,21 @@ encoder and the ranking, traced with tracemalloc.
 numpy and Python report their allocations to tracemalloc, so the traced
 peak of a call bounds the memory it holds at once.  The inputs are fixed
 and built before tracing starts; the bounds are multiples of the data a
-call must hold, so they fail if the writer expands the view rows' columns,
-the shape load copies the view matrix or holds the other split's, stage 2
-prepares its views in one piece, the encoder holds more than a few blocks
-of activations, or a ranking block holds a second copy of its
-similarities or outlives the next block's product.
+call must hold, so they fail if the writer expands the view rows' columns
+or holds more than a block in the writing process, the shape load copies
+the view matrix, holds the other split's or a list of every expected view
+row id, stage 2 prepares its views in one piece, the encoder holds more
+than a few blocks of activations, or a ranking block holds a second copy
+of its similarities or outlives the next block's product.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from sketchshape.data import _POOL_MIN_VALUES, generate, load_dataset, save_dataset
+from sketchshape import data
+from sketchshape.data import _BLOCK_ROWS, _POOL_MIN_VALUES, generate, load_dataset, save_dataset, write_feature_csv
 from sketchshape.losses import Classifier
 from sketchshape.metrics import evaluate
 from sketchshape.model import encode_shape_batch, init_shape_model
@@ -54,7 +57,7 @@ def test_save_dataset_formats_one_block_of_view_rows_at_a_time(tmp_path):
     block of samples at a time: about 0.71 times the feature bytes, the
     Python floats and text of one block.  Expanding the view rows' ids,
     labels and splits into lists first takes it to about 0.89.  The
-    dataset is below the pool's size floor, so the write runs in this
+    dataset is below the share floor, so the whole write runs in this
     process, where tracemalloc sees it."""
     ds = generate(10, 10, 10, 64, 12, 0.2, "ambiguous", 1)
     assert ds.shape.features.size < _POOL_MIN_VALUES
@@ -62,9 +65,30 @@ def test_save_dataset_formats_one_block_of_view_rows_at_a_time(tmp_path):
     assert _traced_peak(lambda: save_dataset(ds, tmp_path)) <= 0.8 * feature_bytes
 
 
-def _train_shape_load_peak(tmp_path, train_per_class: int, test_per_class: int) -> float:
+@pytest.mark.parametrize("views", [None, 12])
+def test_two_share_write_holds_one_block_in_this_process(tmp_path, monkeypatch, views):
+    """Above the share floor, with two shares, this process formats the
+    first half a block at a time and copies the other half's part file:
+    about 7.1 blocks of float64 values (rows x dim x 8 bytes of a block),
+    one block's values as Python floats and its text.  The forked share's
+    allocations are its own.  Sending every block to a pool of two workers
+    and holding up to five formatted blocks in flight took it to 11 to 24
+    blocks, depending on how many blocks were in flight."""
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    per_sample, dim = views or 1, 64
+    rows = 2 * _POOL_MIN_VALUES // (dim * per_sample)
+    matrix = Rng(5).uniform_matrix(rows * per_sample, dim, -1.0, 1.0)
+    if views:
+        matrix = matrix.reshape(rows, views, dim)
+    columns = [f"shape_train_{i:04d}" for i in range(rows)], list(range(rows)), ["train"] * rows, ["shape"] * rows
+    block = (_BLOCK_ROWS // per_sample) * per_sample * dim * 8
+    peak = _traced_peak(lambda: write_feature_csv(tmp_path / "f.csv", *columns, matrix))
+    assert peak <= 9 * block
+
+
+def _train_shape_load_peak(tmp_path, train_per_class: int, test_per_class: int, dim: int = 64) -> float:
     """Traced peak of a train-split shape load, in train view bytes."""
-    ds = generate(10, train_per_class, test_per_class, 64, 12, 0.0, "ambiguous", 1)
+    ds = generate(10, train_per_class, test_per_class, dim, 12, 0.0, "ambiguous", 1)
     save_dataset(ds, tmp_path)
     view_bytes = ds.shapes("train").features.nbytes
     del ds
@@ -86,6 +110,15 @@ def test_shape_load_holds_only_its_split(tmp_path):
     the rest being the text columns of every row.  Holding both splits'
     values, as a load of every row does, takes it to about 9.2."""
     assert _train_shape_load_peak(tmp_path, 10, 50) <= 5.0
+
+
+def test_shape_load_checks_the_view_ids_without_a_copy(tmp_path):
+    """At dim 8 the text of a view row outweighs its values, and the load
+    peaks at about 5.1 times the train split's view bytes, the id of every
+    view row of both splits held once.  Building the expected id of every
+    row, and each row's expected split, as lists for the layout check
+    takes it to about 7.2."""
+    assert _train_shape_load_peak(tmp_path, 30, 30, dim=8) <= 6.0
 
 
 def test_stage2_prepares_its_views_a_block_at_a_time():
@@ -119,13 +152,12 @@ def test_evaluate_holds_one_block_of_similarities():
     assert _evaluate_peak(100) <= 1.8
 
 
-def test_evaluate_frees_the_gallery_dedup_copies():
-    """With 10 classes each query has 1000 relevant items, and the traced
-    peak stays within 3.5 blocks, as in the 100-class case.  The name dates
-    from the gallery deduplication, which is gone: a deduplicated copy kept
-    alive read 3.08 blocks here, under the bound, so the test no longer
-    detects one."""
-    assert _evaluate_peak(10) <= 3.5
+def test_evaluate_holds_one_block_at_1000_relevant_items_per_query():
+    """With 10 classes each query has 1000 relevant items: about 1.86
+    blocks, a block's keys and the ranks of its relevant items.  A _blocks
+    that keeps the previous block's keys alive while the next product is
+    formed reads about 2.43."""
+    assert _evaluate_peak(10) <= 2.2
 
 
 def test_evaluate_scores_many_relevant_items_in_arrays():
