@@ -2,8 +2,9 @@
 
 Commands: gen-data, train-sketch, train-shape, embed, eval,
 report-uncertainty, gradcheck.  Exit codes: 0 success, 1 usage error,
-2 runtime or data error with one ``error:`` line (numpy's floating-point
-warnings are silenced: the finiteness checks report a diverging run).
+2 runtime, data or out-of-memory error with one ``error:`` line
+(numpy's floating-point warnings are silenced: the finiteness checks
+report a diverging run).
 Every run prints its resolved configuration and seed; all randomness flows
 from the explicit --seed flag.
 """
@@ -233,6 +234,9 @@ def main(argv) -> int:
             return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # such as a config's layer too wide to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

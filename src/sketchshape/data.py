@@ -5,9 +5,13 @@ rejection sampling.  Clean sketches are a prototype plus small isotropic
 noise; "noisy" sketches are either semantically ambiguous (midpoint of two
 prototypes, wider noise) or mislabeled (a clean feature of another class
 under the wrong label).  Shapes are bundles of per-view features around the
-prototype.  The noisy flag is ground truth that real sketch datasets lack:
-generate sets it, save_dataset writes it to its own file, and no code here
-reads that file back, so evaluation cannot use it by accident.
+prototype, drawn when they are read: generate records the generator's
+position at the first shape's draw, and a run of shapes is drawn from that
+position advanced past the shapes before it, with the bits of a draw of
+every shape in order.  The noisy flag is ground truth that real sketch
+datasets lack: generate sets it, save_dataset writes it to its own file,
+and no code here reads that file back, so evaluation cannot use it by
+accident.
 
 Files (all ASCII text, floats serialised with repr so round-trips are
 bitwise; a non-ASCII byte is an error naming the file and the line):
@@ -18,9 +22,11 @@ bitwise; a non-ASCII byte is an error naming the file and the line):
   noisy.csv      id,noisy for every sketch; written, never read
 
 A feature file (the two above, and the embedding files) is held in memory
-as five columns, from parse to write: ids, labels (int64), splits and
-modalities (interned strings, one object per distinct value), and one
-float64 rows x dim matrix.  It is read in blocks of rows: numpy's C parser
+as five columns: ids, labels (int64), splits and modalities (interned
+strings, one object per distinct value), and one float64 rows x dim
+matrix, from parse to write, except that gen-data never holds its shape
+views: the writer slices them a block at a time, and each slice draws
+only its own shapes.  It is read in blocks of rows: numpy's C parser
 reads a block's values, which gives float()'s bits, and a block with any
 fault is re-read line by line with float(), so the error names the file
 and the line of the first fault.  It is written in blocks of rows too;
@@ -78,8 +84,9 @@ _POOL_MIN_VALUES = 1 << 18
 
 class Samples(NamedTuple):
     """One modality's samples as columns; features are N x dim for sketches
-    and N x views x dim for shapes; noisy holds generate's flags and is None
-    in loaded samples."""
+    and N x views x dim for shapes (from generate, a _DrawnViews that draws
+    them when read); noisy holds generate's flags and is None in loaded
+    samples."""
 
     ids: list
     labels: np.ndarray
@@ -157,6 +164,40 @@ def _other_class(label: int, classes: int, rng: Rng) -> int:
     return other if other < label else other + 1
 
 
+class _DrawnViews:
+    """generate's N x views x dim shape views, drawn when they are read.
+    Shape i's views are its prototype plus VIEW_NOISE_STD times one
+    normal_matrix(views, dim) draw, the draws in shape order from ``rng``,
+    which nothing else draws from.  A slice of shapes a:b (step 1) is one
+    normal_batches draw of those shapes' views, from ``rng`` advanced past
+    the raw outputs of shapes 0:a, so it holds only its own shapes and has
+    the bits of the per-shape loop.  np.asarray, and any other index, draws
+    every shape."""
+
+    ndim = 3
+
+    def __init__(self, rng: Rng, protos: np.ndarray, labels: np.ndarray, views: int):
+        self._rng, self._protos, self._labels = rng, protos, labels
+        self.shape = (len(labels), views, protos.shape[1])
+        self.size = math.prod(self.shape)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, index) -> np.ndarray:
+        if not isinstance(index, slice) or index.step not in (None, 1):
+            return np.asarray(self)[index]
+        first, stop, _ = index.indices(len(self))
+        count, views, dim = max(stop - first, 0), *self.shape[1:]
+        # A shape's draw takes views * dim raw outputs, rounded up to a pair.
+        normals = self._rng.ahead(first * (views * dim + views * dim % 2)).normal_batches(count * views, views, dim)
+        protos = self._protos[self._labels[first : first + count], None]
+        return protos + VIEW_NOISE_STD * normals.reshape(count, views, dim)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[:], dtype=dtype)
+
+
 def generate(
     classes: int, train_per_class: int, test_per_class: int, dim: int, views: int, noise_frac: float,
     noise_mode: str, seed: int,
@@ -164,7 +205,11 @@ def generate(
     """Build the synthetic benchmark from ``Rng(seed)``, and record the seed
     in the manifest; both modalities use the same per-class train/test
     counts.  noise_frac of the sketches in each class and split (rounded up)
-    are flagged noisy; shapes are always clean."""
+    are flagged noisy; shapes are always clean.  The sketches are drawn
+    here; the shape views are drawn after them, one normal_matrix(views,
+    dim) per shape in order, but only when read (_DrawnViews), so the
+    N x views x dim block is never held unless a caller asks for all of it
+    (np.asarray, Dataset.subset)."""
     if classes < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
     if not 0.0 <= noise_frac <= 1.0:
@@ -199,9 +244,7 @@ def generate(
                     feat = protos[other] + CLEAN_NOISE_STD * rng.normal_matrix(1, dim)[0]
                 sketch_features[len(noisy)] = feat
                 noisy.append(flag)
-    shape_features = np.empty((len(names), views, dim))
-    for row, label in enumerate(labels.tolist()):
-        shape_features[row] = protos[label] + VIEW_NOISE_STD * rng.normal_matrix(views, dim)
+    shape_features = _DrawnViews(rng, protos, labels.copy(), views)
 
     counts = {f"{kind}_{split}": classes * per_class for kind in ("sketch", "shape") for split, per_class in per_split}
     manifest = Manifest(classes, dim, views, counts, noise_frac, noise_mode, seed)

@@ -48,6 +48,12 @@ class Rng:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
 
+    def ahead(self, n: int) -> "Rng":
+        """A new generator whose stream is this one's after its next n raw
+        outputs; this one does not move.  The state is a counter, so the
+        skip costs one multiply, whatever n."""
+        return Rng(self._state + n * _GOLDEN)
+
     def _raw_block(self, n: int) -> np.ndarray:
         """n raw outputs as uint64, consuming n states (same stream as n
         next_u64 calls)."""

@@ -243,6 +243,16 @@ class TestBadInputs:
         pattern = r"twice.cfg line 6: key 'lr0' repeats line 4"
         self._fails(self._train_sketch(pipeline["data"], tmp_path, cfg), capsys, pattern)
 
+    def test_config_too_large_to_allocate_exits_2(self, pipeline, tmp_path, capsys):
+        """A first layer of 10^13 units on the 8-value features asks for
+        582 TiB, more than a 47-bit address space holds, so the allocation
+        fails at once on any machine: one error line, and no checkpoint."""
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("hidden = 10000000000000\n")
+        pattern = r"^error: out of memory: Unable to allocate \d+\. TiB"
+        self._fails(self._train_sketch(pipeline["data"], tmp_path, cfg), capsys, pattern)
+        assert not (tmp_path / "run").exists()
+
     def test_nan_in_sketches_csv_exits_2(self, pipeline, tmp_path, capsys):
         data = shutil.copytree(pipeline["data"], tmp_path / "data")
         lines = (data / "sketches.csv").read_text().splitlines()

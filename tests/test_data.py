@@ -38,8 +38,9 @@ def assert_same_samples(got, want):
     column dtypes (int64 labels, float64 features, bool or None noisy)."""
     assert got.ids == want.ids and got.splits == want.splits
     assert got.labels.dtype == np.int64 and got.labels.tobytes() == want.labels.tobytes()
-    assert got.features.dtype == np.float64 and got.features.shape == want.features.shape
-    assert got.features.tobytes() == want.features.tobytes()
+    got_features, want_features = np.asarray(got.features), np.asarray(want.features)
+    assert got_features.dtype == np.float64 and got_features.shape == want_features.shape
+    assert got_features.tobytes() == want_features.tobytes()
     if want.noisy is None:
         assert got.noisy is None
     else:
@@ -103,6 +104,30 @@ class TestGenerate:
         # centroid is another class's, at a cosine near one
         assert (cos[noisy].argmax(axis=1) != labels[noisy]).all()
         assert cos[noisy].max(axis=1).min() >= 0.9
+
+    @pytest.mark.parametrize("views, dim", [(3, 4), (3, 5)], ids=["even", "odd"])
+    def test_drawn_views_are_the_per_shape_loop(self, views, dim):
+        """generate's shape views, drawn on demand from the generator at the
+        first shape's draw, are bitwise the per-shape normal_matrix loop
+        (an odd views x dim draws a spare normal per shape and drops it):
+        through np.asarray, index arrays, integers and strided slices, and
+        every cut of the shapes into runs of 1, of 5 and one run.  No draw
+        moves the generator."""
+        protos, labels = Rng(1).normal_matrix(4, dim), np.array([3, 0, 1, 1, 2, 0, 3] * 3 + [2, 1], dtype=np.int64)
+        loop = Rng(2)
+        want = np.stack([protos[label] + data.VIEW_NOISE_STD * loop.normal_matrix(views, dim)
+                         for label in labels.tolist()])
+        rng = Rng(2)
+        drawn = data._DrawnViews(rng, protos, labels, views)
+        assert (len(drawn), drawn.shape, drawn.ndim, drawn.size) == (23, want.shape, 3, want.size)
+        assert np.asarray(drawn).dtype == np.float64 and np.asarray(drawn).tobytes() == want.tobytes()
+        for run in (1, 5, len(labels)):
+            got = np.concatenate([drawn[first : first + run] for first in range(0, len(labels), run)])
+            assert got.tobytes() == want.tobytes(), run
+        for index in (np.array([22, 0, 7, 7]), 5, -1, slice(None, None, 2), slice(20, 100), slice(-3, None)):
+            assert drawn[index].tobytes() == want[index].tobytes(), index
+        assert drawn[9:9].shape == drawn[30:40].shape == (0, views, dim)
+        assert rng.next_u64() == Rng(2).next_u64()
 
     def test_take_keeps_the_noisy_flags(self):
         sketch = small_dataset(seed=2, noise_frac=0.5).sketch
@@ -497,23 +522,30 @@ class TestEmbeddingFiles:
         )
         assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
-    @pytest.mark.parametrize("dtype, views", [(np.float64, None), (np.float32, None), (np.float64, 12)],
-                             ids=["float64", "float32", "float64-12-views"])
-    def test_share_writes_have_the_one_share_bytes(self, tmp_path, monkeypatch, dtype, views):
+    @pytest.mark.parametrize("dtype, views, dim", [(np.float64, None, 8), (np.float32, None, 8), (np.float64, 12, 8),
+                                                   (None, 11, 5)],
+                             ids=["float64", "float32", "float64-12-views", "drawn-11-views-dim-5"])
+    def test_share_writes_have_the_one_share_bytes(self, tmp_path, monkeypatch, dtype, views, dim):
         """A write above the share floor gives the same bytes in 2 and 3
         shares as in one, also when the share count does not divide the
         samples, and an N x views x dim matrix too, as does a write in as
         many shares as the process may use CPUs; it forks one process per
-        extra share and leaves no part file.  A write below the floor forks
-        nothing, whatever the CPU count."""
+        extra share and leaves no part file.  So does generate's block of
+        shape views drawn on demand (dtype None), which each share draws
+        for its own shapes alone; at 11 x 5 values each shape's draw drops
+        a spare normal.  A write below the floor forks nothing, whatever
+        the CPU count."""
         per_sample = views or 1
-        rows = _POOL_MIN_VALUES // (8 * per_sample) + 5
+        rows = _POOL_MIN_VALUES // (dim * per_sample) + 5
         assert rows % 2 and rows % 3
-        matrix = Rng(17).uniform_matrix(rows * per_sample, 8, -1.0, 1.0)
-        matrix[:, :4] = [-0.0, 5e-324, 1e16, 0.1]
-        matrix = matrix.astype(dtype)
-        if views:
-            matrix = matrix.reshape(rows, views, 8)
+        if dtype is None:
+            matrix = data._DrawnViews(Rng(17), Rng(18).normal_matrix(4, dim), np.arange(rows) % 4, views)
+        else:
+            matrix = Rng(17).uniform_matrix(rows * per_sample, dim, -1.0, 1.0)
+            matrix[:, :4] = [-0.0, 5e-324, 1e16, 0.1]
+            matrix = matrix.astype(dtype)
+            if views:
+                matrix = matrix.reshape(rows, views, dim)
         columns = [f"s{i}" for i in range(rows)], list(range(rows)), ["train"] * rows, ["shape"] * rows
         forks = _count_forks(monkeypatch)
         # One share per CPU this process may use (one under taskset -c 0).
@@ -527,8 +559,8 @@ class TestEmbeddingFiles:
             assert sorted(p.name for p in tmp_path.iterdir()) == [f"{s}.csv" for s in range(shares + 1)]
         for shares in (0, 2, 3):
             assert (tmp_path / f"{shares}.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
-        assert read_feature_csv(tmp_path / "3.csv", None)[4].tobytes() == matrix.astype(np.float64).tobytes()
-        below = _POOL_MIN_VALUES // (8 * per_sample) - 1
+        assert read_feature_csv(tmp_path / "3.csv", None)[4].tobytes() == np.asarray(matrix, np.float64).tobytes()
+        below = _POOL_MIN_VALUES // (dim * per_sample) - 1
         forks.clear()
         write_feature_csv(tmp_path / "below.csv", *(column[:below] for column in columns), matrix[:below])
         assert forks == []

@@ -1,10 +1,12 @@
-"""Peak memory of the dataset writer, the shape load, stage-2 training, the
-encoder and the ranking, traced with tracemalloc.
+"""Peak memory of dataset generation and writing, the shape load, stage-2
+training, the encoder and the ranking, traced with tracemalloc.
 
 numpy and Python report their allocations to tracemalloc, so the traced
 peak of a call bounds the memory it holds at once.  The inputs are fixed
-and built before tracing starts; the bounds are multiples of the data a
-call must hold, so they fail if the writer expands the view rows' columns
+and built before tracing starts, except in the gen-data test, which
+traces generate with the write; the bounds are multiples of
+the data a call must hold, so they fail if gen-data holds every shape's
+views from generation to write, the writer expands the view rows' columns
 or holds more than a block in the writing process, the shape load copies
 the view matrix, holds the other split's or a list of every expected view
 row id, stage 2 prepares its views in one piece, the encoder holds more
@@ -60,9 +62,31 @@ def test_save_dataset_formats_one_block_of_view_rows_at_a_time(tmp_path):
     dataset is below the share floor, so the whole write runs in this
     process, where tracemalloc sees it."""
     ds = generate(10, 10, 10, 64, 12, 0.2, "ambiguous", 1)
+    # The views drawn into an array before tracing, so that the bound is the
+    # writer's alone; the next test traces generate's drawing in the write.
+    ds.shape = ds.shape._replace(features=np.asarray(ds.shape.features))
     assert ds.shape.features.size < _POOL_MIN_VALUES
     feature_bytes = ds.sketch.features.nbytes + ds.shape.features.nbytes
     assert _traced_peak(lambda: save_dataset(ds, tmp_path)) <= 0.8 * feature_bytes
+
+
+def test_gen_data_draws_the_shape_views_a_block_at_a_time(tmp_path):
+    """generate leaves the shape views undrawn, and save_dataset draws each
+    block of samples as it formats it, so from 100 to 600 shapes the
+    traced peak of both grows by the sketch matrix and the ids alone:
+    about 0.23 times the shapes' added view bytes.  Drawing every shape's
+    views in generate, and holding them until the write, adds them all:
+    about 1.23.  Both datasets are below the share floor, so the whole
+    write runs in this process, where tracemalloc sees it."""
+    peaks, view_bytes = [], []
+    for per_class in (5, 30):
+        shapes = 10 * 2 * per_class
+        assert shapes * 12 * 16 < _POOL_MIN_VALUES
+        outdir = tmp_path / str(per_class)
+        peaks.append(_traced_peak(lambda: save_dataset(generate(10, per_class, per_class, 16, 12, 0.2, "ambiguous", 1),
+                                                       outdir)))
+        view_bytes.append(shapes * 12 * 16 * 8)
+    assert peaks[1] - peaks[0] <= 0.6 * (view_bytes[1] - view_bytes[0])
 
 
 @pytest.mark.parametrize("views", [None, 12])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sketchshape.rng import Rng
 
@@ -30,6 +32,23 @@ def test_block_matches_scalar_stream():
     got = block.uniform_matrix(1, 257, 0.0, 1.0)[0].tolist()
     assert want == got
     assert block.next_u64() == scalar.next_u64()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(0, (1 << 64) - 1), st.integers(0, 3000), st.integers(0, 40))
+@example(0, 0, 3)
+@example(0, 2, 5)  # 2 * 0x9E3779B97F4A7C15 passes 2^64
+@example((1 << 64) - 1, 1, 1)
+def test_ahead_skips_raw_outputs(seed, n, k):
+    """A generator n raw outputs ahead draws the last k of n + k raw
+    outputs, whatever n; the generator it came from does not move, and n
+    and n + 2^64 skip alike."""
+    rng, scalar = Rng(seed), Rng(seed)
+    want = [scalar.next_u64() for _ in range(n + k)][n:]
+    ahead = rng.ahead(n)
+    assert [ahead.next_u64() for _ in range(k)] == want
+    assert rng.ahead(n + (1 << 64)).uniform_matrix(1, k, 0.0, 1.0).tolist() == [[(u >> 11) * 2**-53 for u in want]]
+    assert rng.next_u64() == Rng(seed).next_u64()
 
 
 def test_uniform_range():
