@@ -139,7 +139,10 @@ def cmd_eval(args) -> int:
 def cmd_report_uncertainty(args) -> int:
     print(f"[report-uncertainty] checkpoint = {args.checkpoint}, data = {args.data}, split = {args.split}")
     samples, (_, logvar) = _encode_split(args, only="sketch")
-    scores = uncert_mod.analyze(samples.ids, np.exp(logvar))
+    sigma2 = np.exp(logvar)
+    if not np.all((sigma2 > 0.0) & (sigma2 < np.inf)):
+        raise ValueError(f"{args.checkpoint}: the sketch variance exp(logvar) overflows or underflows")
+    scores = uncert_mod.analyze(samples.ids, sigma2)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     uncert_mod.write_report(samples.ids, scores, out / "uncertainty.csv", out / "uncertainty_summary.txt")

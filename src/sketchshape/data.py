@@ -37,14 +37,15 @@ same either way.
 
 A load reads one modality and one split (``load_dataset(dir, modality,
 split)``), and parses only that split's values: every row's text columns
-(ASCII, field count, label, modality, the writer's layout of a shape's
-view rows and their agreement) and the manifest's counts of both splits
-are checked, but a malformed or non-finite value in a row of the other
-split goes unread.  The loaded samples (``Samples``) hold that split
+(ASCII, field count, label, modality) and the manifest's counts of both
+splits are checked, but a malformed or non-finite value in a row of the
+other split goes unread.  The loaded samples (``Samples``) hold that split
 alone, a shape's view rows as one N x views x dim block: shapes.csv is
 written from that block, views rows per sample, and loaded into it as a
-view of the parsed matrix; a file in any other layout is malformed.
-``Dataset.subset`` copies one split of generate's datasets.
+view of the parsed matrix.  A file in any other layout is malformed: one
+pass checks the view rows in file order (_shape_rows), so the error names
+the first row at fault.  ``Dataset.subset`` copies one split of
+generate's datasets.
 """
 
 import math
@@ -55,7 +56,7 @@ import sys
 import tempfile
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import cycle, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -528,11 +529,55 @@ def load_manifest(path) -> Manifest:
     )
 
 
-def _read_rows(path, manifest: Manifest, modality: str, split: str):
-    """The ids, labels and splits of every row of one of the dataset's
-    feature files, and the matrix of the rows of ``split``; every row is
-    checked against the manifest's class count and the file's modality,
-    and the matrix against the manifest's feature dimension."""
+def _shape_rows(path, ids, labels, splits, views: int):
+    """The id, label and split of each shape of shapes.csv, from the ids,
+    labels and splits of its rows.  One pass checks the rows in file order
+    against the layout write_feature_csv writes: each shape as ``views``
+    consecutive rows with ids <id>.v00 to <id>.v{views-1:02d}, in that
+    order, which agree with the first on label and split, and no shape id
+    twice; the first row at fault raises ValueError."""
+    # A manifest's view count may exceed the rows, by any amount; one suffix
+    # past the last row is enough to report the shortfall.
+    suffixes = [f".v{j:02d}" for j in range(min(views, len(ids) + 1))]
+    bases, seen, start = [], set(), suffixes[0]
+    for sample_id, label, split, suffix in zip(ids, labels.tolist(), splits, cycle(suffixes)):
+        if suffix is start:
+            base, base_label, base_split = sample_id.rpartition(".v")[0], label, split
+        if sample_id != base + suffix:
+            raise ValueError(f"{path}: expected view row {base}{suffix} ({views} rows per shape, in order), "
+                             f"got row {sample_id}")
+        if suffix is not start:
+            if label != base_label or split != base_split:
+                raise ValueError(f"{path}: view row {sample_id} disagrees with shape {base} on label or split")
+        elif base in seen:
+            raise ValueError(f"{path}: row {sample_id} starts shape {base} a second time")
+        else:
+            seen.add(base)
+            bases.append(base)
+    if len(ids) % views:
+        raise ValueError(f"{path}: expected view row {base}{suffixes[len(ids) % views]} ({views} rows per shape, "
+                         f"in order), got the end of the file")
+    return bases, labels[::views], splits[::views]
+
+
+def load_dataset(indir, modality: str, split: str) -> Dataset:
+    """Read ``manifest.txt`` and the samples of one modality and one split:
+    ``"sketch"`` reads ``sketches.csv`` and ``"shape"`` reads
+    ``shapes.csv``, and the samples hold the rows of ``split``, ``"train"``
+    or ``"test"``, alone.  Every row's text columns are checked against the
+    manifest's class count and the file's modality, the file's feature
+    dimension against the manifest's, shapes.csv's view rows in file order
+    (_shape_rows), and the manifest's counts of the modality against the
+    split of every sample; only the split's values are parsed, and a
+    split's shapes are a view of them as one N x views x dim block.  No
+    load reads ``noisy.csv``, so the samples' noisy column is None."""
+    if modality not in ("sketch", "shape"):
+        raise ValueError(f"modality must be 'sketch' or 'shape', got {modality!r}")
+    if split not in ("train", "test"):
+        raise ValueError(f"split must be 'train' or 'test', got {split!r}")
+    indir = Path(indir)
+    manifest = load_manifest(indir / "manifest.txt")
+    path = indir / ("sketches.csv" if modality == "sketch" else "shapes.csv")
     ids, labels, splits, modalities, matrix = read_feature_csv(path, split)
     if matrix.shape[1] != manifest.feature_dim:
         raise ValueError(f"{path}: dim {matrix.shape[1]} != manifest feature_dim {manifest.feature_dim}")
@@ -543,77 +588,16 @@ def _read_rows(path, manifest: Manifest, modality: str, split: str):
     if modalities.count(modality) != len(modalities):
         i = next(i for i, m in enumerate(modalities) if m != modality)
         raise ValueError(f"{path}: row {ids[i]} has modality {modalities[i]!r}, expected {modality!r}")
-    return ids, labels, splits, matrix
-
-
-def _of_split(ids, labels, splits, features, split: str) -> Samples:
-    """The samples of ``split`` among columns of every sample, with the
-    features of that split alone."""
-    rows = [i for i, s in enumerate(splits) if s == split]
-    return Samples([ids[i] for i in rows], labels[rows], [splits[i] for i in rows], features, None)
-
-
-def _load_sketches(indir: Path, manifest: Manifest, split: str):
-    """(the split of every sketch, the sketches of ``split``)."""
-    ids, labels, splits, matrix = _read_rows(indir / "sketches.csv", manifest, "sketch", split)
-    return splits, _of_split(ids, labels, splits, matrix, split)
-
-
-def _load_shapes(indir: Path, manifest: Manifest, split: str):
-    """(the split of every shape, the shapes of ``split``).  shapes.csv must
-    hold the layout write_feature_csv writes: each shape as the manifest's
-    ``views`` consecutive rows with ids <id>.v00 to <id>.v{views-1:02d}, in
-    that order, which agree on label and split, and no shape id twice; the
-    first row at fault raises ValueError.  A split's rows are then whole
-    shapes in file order, so its N x views x dim block is a view of the
-    parsed matrix."""
-    path = indir / "shapes.csv"
-    ids, labels, splits, matrix = _read_rows(path, manifest, "shape", split)
-    views = manifest.views
-    bases = [sample_id.rpartition(".v")[0] for sample_id in ids[::views]]
-    # A manifest's view count may exceed the rows, by any amount; one suffix
-    # past the last row is enough to report the shortfall.
-    suffixes = [f".v{j:02d}" for j in range(min(views, len(ids) + 1))]
-    # Row i is view i % views of the shape its group's first row names.
-    i = next((i for i, sample_id in enumerate(ids) if sample_id != bases[i // views] + suffixes[i % views]),
-             len(ids) if len(ids) % views else None)
-    if i is not None:
-        got = f"row {ids[i]}" if i < len(ids) else "the end of the file"
-        raise ValueError(f"{path}: expected view row {bases[i // views]}{suffixes[i % views]} ({views} rows per "
-                         f"shape, in order), got {got}")
-    if len(set(bases)) != len(bases):
-        first = {}
-        k = next(k for k, base in enumerate(bases) if first.setdefault(base, k) != k)
-        raise ValueError(f"{path}: row {ids[k * views]} starts shape {bases[k]} a second time")
-    shape_labels, shape_splits = labels[::views], splits[::views]
-    if any(splits[k * views : (k + 1) * views].count(s) != views for k, s in enumerate(shape_splits)) or (
-            labels.reshape(-1, views) != shape_labels[:, None]).any():
-        i = next(i for i, (label, s) in enumerate(zip(labels, splits))
-                 if (label, s) != (shape_labels[i // views], shape_splits[i // views]))
-        raise ValueError(f"{path}: view row {ids[i]} disagrees with shape {bases[i // views]} on label or split")
-    block = matrix.reshape(-1, views, matrix.shape[1])
-    return shape_splits, _of_split(bases, shape_labels, shape_splits, block, split)
-
-
-def load_dataset(indir, modality: str, split: str) -> Dataset:
-    """Read ``manifest.txt`` and the samples of one modality and one split:
-    ``"sketch"`` reads ``sketches.csv`` and ``"shape"`` reads
-    ``shapes.csv``, and the samples hold the rows of ``split``, ``"train"``
-    or ``"test"``, alone.  Every row's text columns are checked, and the
-    manifest's counts of the modality against the split of every sample;
-    only the split's values are parsed.  No load reads ``noisy.csv``, so
-    the samples' noisy column is None."""
-    if modality not in ("sketch", "shape"):
-        raise ValueError(f"modality must be 'sketch' or 'shape', got {modality!r}")
-    if split not in ("train", "test"):
-        raise ValueError(f"split must be 'train' or 'test', got {split!r}")
-    indir = Path(indir)
-    manifest = load_manifest(indir / "manifest.txt")
-    every_split, samples = (_load_sketches if modality == "sketch" else _load_shapes)(indir, manifest, split)
+    del modalities  # one pointer per row, not needed past its check
+    if modality == "shape":
+        ids, labels, splits = _shape_rows(path, ids, labels, splits, manifest.views)
+        matrix = matrix.reshape(-1, manifest.views, matrix.shape[1])
     for key, expected in manifest.counts.items():
         kind, _, counted = key.partition("_")
-        if kind == modality and (actual := every_split.count(counted)) != expected:
+        if kind == modality and (actual := splits.count(counted)) != expected:
             raise ValueError(f"{indir / 'manifest.txt'}: manifest count {key} = {expected} but found {actual} records")
+    rows = [i for i, s in enumerate(splits) if s == split]
+    samples = Samples([ids[i] for i in rows], labels[rows], [splits[i] for i in rows], matrix, None)
     return Dataset(manifest, **{modality: samples})
 
 

@@ -332,9 +332,10 @@ def save_shape_checkpoint(path, model: ShapeModel) -> None:
 def _read_checkpoint(path):
     """Parse a checkpoint once; returns (meta, matrices), mapping each header
     key and matrix name to (line number, value).  Header lines (``_HEADERS``
-    gives their values) come once each, before the matrices; a matrix comes
-    once, its header followed by exactly its rows.  Any other non-blank line,
-    a malformed row or a non-finite value raises ValueError naming the line."""
+    gives their values) come once each, kind first, before the matrices; a
+    matrix comes once, its header followed by exactly its rows.  Any other
+    non-blank line, a malformed row or a non-finite value raises ValueError
+    naming the line."""
     meta = {}
     matrices = {}
     lines = _text_lines(path)
@@ -354,6 +355,8 @@ def _read_checkpoint(path):
                                  f"got {line.strip()!r}")
             if parts[0] in meta:
                 raise ValueError(f"{header}: {parts[0]} repeats line {meta[parts[0]][0]}")
+            if parts[0] == "kind" and meta:
+                raise ValueError(f"{header}: kind comes after classifier_frozen on line {meta['classifier_frozen'][0]}")
             meta[parts[0]] = lineno, parts[1]
             continue
         if len(parts) != 4 or not all(p.isdigit() and int(p) > 0 for p in parts[2:]):
@@ -382,9 +385,9 @@ def load_checkpoint(path, kind=None):
     The fields of the kind's model class (``_KINDS``) are read as networks,
     the first taking the input features and the others its output.  The
     file must hold exactly the matrices ``_named_matrices`` gives for the
-    model built, and a ``classifier_frozen`` line if and only if it is a
-    sketch checkpoint; anything else raises ValueError naming the file, and
-    the line where there is one."""
+    model built, in that order, and a ``classifier_frozen`` line if and only
+    if it is a sketch checkpoint; anything else raises ValueError naming the
+    file, and the line where there is one."""
     meta, matrices = _read_checkpoint(path)
     found = meta.get("kind", (1, None))[1]
     if found is None or kind not in (None, found):
@@ -418,8 +421,11 @@ def load_checkpoint(path, kind=None):
         classifier = Classifier(weights, frozen=meta["classifier_frozen"][1] == "true")
     elif "classifier_frozen" in meta:
         raise ValueError(f"{path} line {meta['classifier_frozen'][0]}: a shape checkpoint has no classifier_frozen")
-    expected = {name for name, _ in _named_matrices(model, classifier)}
+    expected = [name for name, _ in _named_matrices(model, classifier)]
     for name, (lineno, _) in matrices.items():
         if name not in expected:
             raise ValueError(f"{path} line {lineno}: unexpected matrix {name} in a {found} checkpoint")
+    for (name, (lineno, _)), want in zip(matrices.items(), expected):
+        if name != want:
+            raise ValueError(f"{path} line {lineno}: matrix {name} where the writer puts matrix {want}")
     return found, model, classifier

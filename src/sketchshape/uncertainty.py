@@ -25,12 +25,13 @@ class Scores(NamedTuple):
 def harmonic_mean(sigma2):
     """D / sum_d(1 / sigma2_d) of a vector (a float) or of each row of an
     N x D matrix, bitwise equal per row: in C order each row reduces with a
-    vector's pairwise sum.  Every entry must be strictly positive."""
+    vector's pairwise sum.  Every entry must be finite and strictly
+    positive."""
     sigma2 = np.ascontiguousarray(sigma2, dtype=np.float64)
     if sigma2.shape[-1] == 0:
         raise ValueError("harmonic_mean of an empty vector")
-    if np.any(sigma2 <= 0.0):
-        raise ValueError("harmonic_mean requires strictly positive entries")
+    if not np.all((sigma2 > 0.0) & (sigma2 < np.inf)):
+        raise ValueError("harmonic_mean requires finite, strictly positive entries")
     scores = sigma2.shape[-1] / np.add.reduce(1.0 / sigma2, axis=-1)
     return float(scores) if sigma2.ndim == 1 else scores
 

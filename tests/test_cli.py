@@ -142,6 +142,11 @@ def _drop_matrices(text, prefix):
     return "\nmatrix ".join([head] + [b for b in blocks if not b.startswith(prefix)])
 
 
+def _reverse_matrices(text):
+    head, *blocks = text.rstrip("\n").split("\nmatrix ")
+    return "\nmatrix ".join([head] + blocks[::-1]) + "\n"
+
+
 def _edit_matrix_lines(text, name, edit):
     """edit(header_line, first_row) -> (header_line, first_row) for matrix name."""
     lines = text.splitlines()
@@ -200,6 +205,13 @@ CHECKPOINT_FAULTS = {
                        r"sketch.ckpt: missing line 'classifier_frozen true\|false'"),
     "frozen_in_shape": ("shape.ckpt", lambda t: t.replace("kind shape\n", "kind shape\nclassifier_frozen true\n"),
                         r"shape.ckpt line 3: a shape checkpoint has no classifier_frozen"),
+    "kind_after_frozen": ("sketch.ckpt",
+                          lambda t: t.replace("kind sketch\nclassifier_frozen true\n",
+                                              "classifier_frozen true\nkind sketch\n"),
+                          r"sketch.ckpt line 3: kind comes after classifier_frozen on line 2$"),
+    "reversed_matrices": ("sketch.ckpt", _reverse_matrices,
+                          r"sketch.ckpt line 4: matrix classifier.weight where the writer puts matrix "
+                          r"backbone.0.weight$"),
 }
 
 
@@ -609,6 +621,26 @@ class TestPipeline:
         assert lines[0] == "id,score,normalized,bucket"
         assert len(lines) == 1 + 36
         assert "percent_high" in (out / "uncertainty_summary.txt").read_text()
+
+    @pytest.mark.parametrize("logvar, quantile", [(710.0, 0.5), (710.0, 0.0), (-760.0, 1.0)],
+                             ids=["half-overflow", "all-overflow", "all-underflow"])
+    def test_variance_overflow_or_underflow_exits_2(self, pipeline, tmp_path, capsys, logvar, quantile):
+        """A logvar bias shifted so that exp(logvar) overflows in about half
+        of the train sketches or in all of them, or underflows to 0 in all of
+        them, is one error line naming the checkpoint, and no report is
+        written."""
+        _, model, classifier = load_checkpoint(pipeline["run"] / "sketch.ckpt")
+        sketches = load_dataset(pipeline["data"], "sketch", "train").sketch
+        peaks = encode_sketch_batch(model, sketches.features)[1].max(axis=1)
+        weights, bias = model.logvar_head.layers[-1]
+        model.logvar_head.layers[-1] = weights, bias + (logvar - np.quantile(peaks, quantile))
+        ckpt, out = tmp_path / "sketch.ckpt", tmp_path / "cert"
+        save_sketch_checkpoint(ckpt, model, classifier)
+        assert main(["report-uncertainty", "--checkpoint", str(ckpt), "--data", str(pipeline["data"]),
+                     "--split", "train", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt}: the sketch variance exp(logvar) overflows or underflows\n"
+        assert not out.exists()
 
     def test_shape_checkpoint_rejected_for_uncertainty(self, pipeline, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(data_mod, "load_dataset", lambda *a: pytest.fail("dataset read"))

@@ -365,6 +365,20 @@ class TestDatasetFiles:
             with pytest.raises(ValueError, match=pattern):
                 load_dataset(tmp_path, "shape", split)
 
+    def test_first_faulty_view_row_is_named(self, tmp_path):
+        """Of two view-row faults, a label disagreement on line 3 and a
+        misnumbered view on line 8, the load names the first in the file,
+        whichever kind of check finds it."""
+        save_dataset(small_dataset(seed=9), tmp_path)
+        lines = (tmp_path / "shapes.csv").read_text().splitlines()
+        lines[2] = lines[2].replace(",0,train,", ",1,train,", 1)
+        lines[7] = lines[7].replace(".v00,", ".v01,", 1)
+        (tmp_path / "shapes.csv").write_text("\n".join(lines) + "\n")
+        for split in ("train", "test"):
+            with pytest.raises(ValueError, match=r"shapes.csv: view row shape_train_0000.v01 disagrees with shape "
+                                                 r"shape_train_0000 on label or split$"):
+                load_dataset(tmp_path, "shape", split)
+
     @pytest.mark.parametrize(
         "views, pattern",
         [

@@ -43,6 +43,13 @@ class TestHarmonicMean:
         with pytest.raises(ValueError, match="positive"):
             harmonic_mean([[1.0, 2.0], [3.0, 0.0]])
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_entry_rejected(self, value):
+        """An overflowed variance has no score: 1 / inf would drop its
+        dimension, and a test for entries <= 0 lets NaN through."""
+        with pytest.raises(ValueError, match="finite, strictly positive"):
+            harmonic_mean([[1.0, 2.0], [3.0, value]])
+
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             harmonic_mean([])
